@@ -11,7 +11,6 @@ from .errors import (
     EllOutOfRange,
     EmptyHalfspace,
     EmptyInput,
-    EmptyRegionError,
     HeaderMismatch,
     MixedModels,
     NoConvergence,
@@ -37,7 +36,6 @@ from .geometry import (
     hausdorff_distance,
     intersect_halfplanes_2d,
     orthocomplement_basis,
-    point_in_region,
     polygon_area,
 )
 from .qr import QrProblem, QrSolution, check_loss, dual_weights, solve_qr, validate_tau

@@ -157,10 +157,9 @@ def ingest_csv(path):
         q, k = layout
         return "regression", (M[:, :q], M[:, q:]), warnings
     cloud = PointCloud(M)
-    dups = cloud.duplicate_rows()
+    dups = cloud.rows_with_duplicates()
     if dups:
-        flat = sorted({i for pair in dups for i in pair})
-        warnings.append(f"multiple identical observations at rows {flat}")
+        warnings.append(f"multiple identical observations at rows {dups}")
     return "cloud", cloud, warnings
 
 

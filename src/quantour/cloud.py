@@ -16,9 +16,25 @@ from .errors import DegenerateData, DimensionMismatch, StillDegenerate
 # and a triple with |cross product| below this counts as collinear.
 GENERAL_POSITION_TOL = 1e-12
 
-# Collinearity scans are O(n^3); above this row count only a deterministic
-# subsample of triples is checked.
+# The exhaustive collinearity scan costs O(n^2 log n) for points in general
+# position; above this row count only a deterministic subsample of rows is
+# checked.
 COLLINEAR_SCAN_LIMIT = 5000
+
+# The collinearity scan tests an anchor's candidate pairs in batches of
+# about this many.
+_SCAN_BATCH_PAIRS = 1_000_000
+
+# Window arithmetic of _anchor_hits.  _EPS_SLACK (4 eps) bounds the rounding
+# of a cross product relative to r_j * r_l and _AREA_FLOOR (4 times the
+# smallest subnormal) its absolute error from underflow; squared lengths
+# below _SMALLEST_NORMAL are not accurate enough to size a window.
+# _ANGLE_MARGIN, thousands of ulps of pi, covers arctan2, the shift by pi
+# and the window sums.
+_EPS_SLACK = 4.0 * 2.0**-52
+_AREA_FLOOR = 4.0 * 2.0**-1074
+_SMALLEST_NORMAL = 2.0**-1022
+_ANGLE_MARGIN = 1e-12
 
 
 class PointCloud:
@@ -61,60 +77,77 @@ class PointCloud:
         return f"PointCloud(n={self.n}, k={self.k})"
 
     def duplicate_rows(self, tol: float = GENERAL_POSITION_TOL):
-        """Indices (i, j), i < j, of coincident rows."""
-        z = self.points
-        order = np.lexsort(z.T[::-1])
-        pairs = []
-        # coincident rows are adjacent after a lexicographic sort
-        for a, b in zip(order[:-1], order[1:]):
-            if np.all(np.abs(z[a] - z[b]) <= tol):
-                pairs.append((min(a, b), max(a, b)))
-        return pairs
+        """Every pair (i, j), i < j, of rows within ``tol`` in every coordinate.
+
+        Pairs come in ascending order.  c copies of one row make c(c - 1)/2
+        pairs; :meth:`rows_with_duplicates` lists the rows alone.
+        """
+        value, (u, v) = _close_values(self.points, tol)
+        order = np.argsort(value, kind="stable")
+        size = np.bincount(value)
+        start = np.cumsum(size) - size
+        # pairs of rows with equal values ...
+        end = (start + size)[value[order]]
+        first, step = _successor_steps(end - np.arange(self.n) - 1)
+        same = np.column_stack([order[first], order[first + step]])
+        # ... and every row of value u with every row of value v
+        entry, t = _successor_steps(size[u] * size[v])
+        t -= 1
+        near = np.column_stack(
+            [
+                order[start[u[entry]] + t // size[v[entry]]],
+                order[start[v[entry]] + t % size[v[entry]]],
+            ]
+        )
+        pairs = np.sort(np.concatenate([same, near]), axis=1)
+        pairs = pairs[np.lexsort(pairs.T[::-1])]
+        return [tuple(p) for p in pairs.tolist()]
+
+    def rows_with_duplicates(self, tol: float = GENERAL_POSITION_TOL):
+        """Ascending rows that have another row within ``tol`` in every coordinate."""
+        value, (u, v) = _close_values(self.points, tol)
+        dup = np.bincount(value)[value] > 1
+        dup |= np.isin(value, np.concatenate([u, v]))
+        return np.flatnonzero(dup).tolist()
 
     def collinear_triples(self, tol: float = GENERAL_POSITION_TOL, limit: int = 32):
-        """Triples (i, j, l) of collinear rows; planar clouds only.
+        """Triples (i, j, l), i < j < l, of collinear rows; planar clouds only.
+
+        A triple counts as collinear when, with d = z[j] - z[i] and
+        e = z[l] - z[i], |d_1 e_2 - d_2 e_1| <= tol * scale**2, where scale is
+        max(1, max |z|).  Triples come by ascending i, then ascending (j, l),
+        and the scan stops after ``limit`` of them (at least one).
 
         Exhaustive for n <= COLLINEAR_SCAN_LIMIT, otherwise a deterministic
-        subsample of triples is scanned.  Returns at most ``limit`` triples.
+        subsample of rows is scanned.  The exhaustive scan costs
+        O(n^2 log n) plus the work on near-collinear pairs: see
+        :func:`_anchor_hits`.
         """
         if self.k != 2:
             return []
         z = self.points
         n = self.n
-        found = []
         if n <= COLLINEAR_SCAN_LIMIT:
             index_pool = np.arange(n)
         else:
             rng = np.random.default_rng(0)
             index_pool = np.sort(rng.choice(n, size=COLLINEAR_SCAN_LIMIT, replace=False))
-        m = len(index_pool)
         pts = z[index_pool]
         # scale-aware tolerance on twice the triangle area
         scale = max(1.0, float(np.abs(pts).max()))
         area_tol = tol * scale * scale
-        for ai in range(m - 2):
-            a = pts[ai]
-            d = pts[ai + 1 :] - a
-            # cross(d_j, d_l) == 0 <=> triple (a, j, l) collinear
-            cross = np.abs(d[:, 0][:, None] * d[:, 1][None, :] - d[:, 1][:, None] * d[:, 0][None, :])
-            ji, li = np.nonzero(np.triu(cross <= area_tol, k=1))
-            for j, l in zip(ji, li):
-                found.append(
-                    (int(index_pool[ai]), int(index_pool[ai + 1 + j]), int(index_pool[ai + 1 + l]))
-                )
-                if len(found) >= limit:
-                    return found
-        return found
+        limit = max(limit, 1)
+        hits = _collinear_hits(pts, area_tol, limit)
+        return [tuple(t) for t in index_pool[hits].tolist()]
 
     def require_general_position(self, check_collinear: bool | None = None):
         """Raise DegenerateData on duplicates or (planar) collinear triples.
 
         Collinearity is checked by default only for k == 2 clouds.
         """
-        dup = self.duplicate_rows()
+        dup = self.rows_with_duplicates()
         if dup:
-            flat = sorted({i for pair in dup for i in pair})
-            raise DegenerateData("duplicate points", indices=flat)
+            raise DegenerateData("duplicate points", indices=dup)
         if check_collinear is None:
             check_collinear = self.k == 2
         if check_collinear and self.k == 2 and self.n >= 3:
@@ -122,6 +155,122 @@ class PointCloud:
             if triples:
                 flat = sorted({i for t in triples for i in t})
                 raise DegenerateData("collinear triples", indices=flat)
+
+
+def _close_values(z, tol):
+    """Distinct rows of ``z`` and the pairs of them within ``tol``.
+
+    Returns ``value``, the index of each row's distinct row, and arrays
+    (u, v), u < v, of distinct rows within ``tol`` in every coordinate.
+    The values of one coordinate, sorted, fall into runs whose steps are at
+    most tol; two values within tol share a run, as no step between them is
+    longer than their distance.  Only rows that share a run in every
+    coordinate are tested.
+    """
+    n, k = z.shape
+    order = np.lexsort(z.T[::-1])
+    new = np.concatenate([[True], (z[order[1:]] != z[order[:-1]]).any(axis=1)])
+    value = np.empty(n, dtype=np.intp)
+    value[order] = np.cumsum(new) - 1
+    rows = z[order[new]]
+    m = len(rows)
+    run = np.empty((k, m), dtype=np.intp)
+    for c in range(k):
+        order = np.argsort(rows[:, c])
+        run[c, order] = np.concatenate([[0], np.cumsum(np.diff(rows[order, c]) > tol)])
+    order = np.lexsort(run[::-1])
+    key = run[:, order]
+    new = np.concatenate([[True], (key[:, 1:] != key[:, :-1]).any(axis=0)])
+    end = np.append(np.flatnonzero(new)[1:], m)[np.cumsum(new) - 1]
+    first, step = _successor_steps(end - np.arange(m) - 1)
+    u, v = order[first], order[first + step]
+    close = (np.abs(rows[u] - rows[v]) <= tol).all(axis=1)
+    u, v = u[close], v[close]
+    return value, (np.minimum(u, v), np.maximum(u, v))
+
+
+def _collinear_hits(pts, area_tol, limit):
+    """The first ``limit`` collinear triples of rows of ``pts``.
+
+    Returns an array of rows (i, j, l), i < j < l, in ascending order: by
+    anchor i, then the anchor's pairs from :func:`_anchor_hits`.
+    """
+    m = len(pts)
+    found, n_found = [], 0
+    with np.errstate(over="ignore", divide="ignore"):
+        for i in range(m - 2):
+            d = pts[i + 1 :] - pts[i]
+            j, l = _anchor_hits(d[:, 0], d[:, 1], area_tol, limit - n_found)
+            if j.size:
+                found.append(np.column_stack([np.full(j.size, i), i + 1 + j, i + 1 + l]))
+                n_found += j.size
+                if n_found == limit:
+                    break
+    return np.concatenate(found) if found else np.empty((0, 3), dtype=np.intp)
+
+
+def _anchor_hits(dx, dy, area_tol, limit):
+    """The first ``limit`` pairs (j, l), j < l, with |d_j x d_l| <= area_tol.
+
+    ``dx``, ``dy`` hold one anchor's directions d; returns arrays j, l in
+    row-major order.  Directions are sorted by angle mod pi.  If
+    |d_j x d_l| <= area_tol as computed in floating point, the exact cross
+    product is at most area_tol + 4 * 2**-1074 + 4 eps * r_j * r_l
+    (r = |d|), and as |sin x| >= 2|x| / pi on [-pi/2, pi/2] the two angles
+    differ mod pi by at most
+
+        w = pi/2 * ((area_tol + 4 * 2**-1074) / r_min**2 + 4 eps) + 1e-12 ,
+
+    r_min = min_j r_j.  Only pairs that close in angle are candidates, and
+    each is decided by the same floating-point cross product test.  When
+    the anchor has a zero-length direction, r_min**2 leaves the normal
+    range or w reaches pi/4, or when the candidates are at least half of
+    all pairs, every pair is tested instead, in row-major order, so that
+    the test can stop at ``limit``.
+    """
+    size = dx.size
+    theta = np.arctan2(dy, dx)
+    theta[theta < 0.0] += np.pi
+    r2_min = (dx * dx + dy * dy).min()
+    w = 0.5 * np.pi * ((area_tol + _AREA_FLOOR) / r2_min + _EPS_SLACK) + _ANGLE_MARGIN
+    windowed = _SMALLEST_NORMAL <= r2_min < np.inf and w < 0.25 * np.pi
+    if windowed:
+        # each direction pairs with its cyclic successors up to angle + w;
+        # as w < pi/2, no pair is counted from both ends
+        order = theta.argsort()
+        s = theta[order]
+        reach = s + w
+        count = s.searchsorted(reach, side="right") - np.arange(size) - 1
+        count += s.searchsorted(reach - np.pi, side="right")
+        windowed = 4 * int(count.sum()) < size * (size - 1)
+    if not windowed:
+        order = np.arange(size)
+        count = size - 1 - order
+    total = count.cumsum()
+    keys = np.empty(0, dtype=np.intp)
+    start = 0 if total[-1] else size
+    while start < size:
+        done = total[start - 1] if start else 0
+        stop = max(start + 1, int(total.searchsorted(done + _SCAN_BATCH_PAIRS, side="right")))
+        first, step = _successor_steps(count[start:stop])
+        first += start
+        nxt = first + step
+        nxt[nxt >= size] -= size
+        j, l = order[first], order[nxt]
+        j, l = np.minimum(j, l), np.maximum(j, l)
+        hit = np.abs(dx[j] * dy[l] - dy[j] * dx[l]) <= area_tol
+        keys = np.sort(np.concatenate([keys, j[hit] * size + l[hit]]))[:limit]
+        start = stop
+        if not windowed and keys.size == limit:
+            break  # later batches hold only larger keys
+    return np.divmod(keys, size)
+
+
+def _successor_steps(count):
+    """Pair each entry k with its steps 1..count[k]: (entry, step) arrays."""
+    entry = np.repeat(np.arange(count.size), count)
+    step = np.arange(entry.size) - (np.cumsum(count) - count)[entry] + 1
+    return entry, step
 
 
 def jitter(cloud: PointCloud, amplitude: float = 1e-5, seed: int = 0) -> PointCloud:

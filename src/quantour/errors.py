@@ -69,10 +69,6 @@ class NotBounded(QuantourError):
     """A bounded region was required but the input region is unbounded."""
 
 
-class EmptyRegionError(QuantourError):
-    """A nonempty region was required but the input region is empty."""
-
-
 class EmptyHalfspace(QuantourError):
     """An operation needed observations strictly on both hyperplane sides."""
 

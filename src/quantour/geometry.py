@@ -258,11 +258,6 @@ class ConvexRegion2D:
         ]
 
 
-def point_in_region(region: ConvexRegion2D, point, tol: float = GEOM_TOL) -> str:
-    """Classify ``point`` against ``region`` (INSIDE / BOUNDARY / OUTSIDE)."""
-    return region.contains(point, tol=tol)
-
-
 def hausdorff_distance(a: ConvexRegion2D, b: ConvexRegion2D) -> float:
     """Hausdorff distance between two bounded nonempty convex regions.
 

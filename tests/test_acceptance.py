@@ -247,6 +247,12 @@ def test_criterion_7_performance():
     t_sweep = time.perf_counter() - t0
     assert len(result.arcs) >= 3
     assert t_sweep < 30.0
+    # exhaustive general-position check on n = 2000, < 5 s
+    cloud = make_cloud(702, 2000)
+    t0 = time.perf_counter()
+    cloud.require_general_position()
+    t_check = time.perf_counter() - t0
+    assert t_check < 5.0
 
 
 def test_criterion_8_degeneracy_and_jitter(tmp_path):

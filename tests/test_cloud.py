@@ -1,0 +1,234 @@
+"""General-position checks: duplicate rows and collinear triples.
+
+The angular-window scan in ``PointCloud.collinear_triples`` must return
+exactly what the dense O(n^3) scan it replaced returned: the same triples,
+in the same order, cut at the same limit.  ``dense_collinear_triples`` below
+is that scan, kept as the independent oracle.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quantour import DegenerateData, PointCloud
+from quantour import cloud as cloud_module
+from conftest import make_cloud
+
+RNG = np.random.default_rng
+LIMITS = (4, 32, 10**9)
+
+
+def dense_collinear_triples(z, tol=1e-12, limit=32):
+    """Dense reference scan: one (n - i)^2 cross-product matrix per anchor i."""
+    n = len(z)
+    found = []
+    if n <= cloud_module.COLLINEAR_SCAN_LIMIT:
+        index_pool = np.arange(n)
+    else:
+        rng = np.random.default_rng(0)
+        index_pool = np.sort(
+            rng.choice(n, size=cloud_module.COLLINEAR_SCAN_LIMIT, replace=False)
+        )
+    m = len(index_pool)
+    pts = z[index_pool]
+    # scale-aware tolerance on twice the triangle area
+    scale = max(1.0, float(np.abs(pts).max()))
+    area_tol = tol * scale * scale
+    for ai in range(m - 2):
+        a = pts[ai]
+        d = pts[ai + 1 :] - a
+        # cross(d_j, d_l) == 0 <=> triple (a, j, l) collinear
+        cross = np.abs(d[:, 0][:, None] * d[:, 1][None, :] - d[:, 1][:, None] * d[:, 0][None, :])
+        ji, li = np.nonzero(np.triu(cross <= area_tol, k=1))
+        for j, l in zip(ji, li):
+            found.append(
+                (int(index_pool[ai]), int(index_pool[ai + 1 + j]), int(index_pool[ai + 1 + l]))
+            )
+            if len(found) >= limit:
+                return found
+    return found
+
+
+def brute_duplicate_rows(z, tol=1e-12):
+    z = np.asarray(z, dtype=float).reshape(len(z), -1)
+    close = (np.abs(z[:, None, :] - z[None, :, :]) <= tol).all(axis=2)
+    return [tuple(p) for p in np.argwhere(np.triu(close, k=1)).tolist()]
+
+
+def assert_same_duplicates(z, tol=1e-12):
+    cloud = PointCloud(z)
+    pairs = brute_duplicate_rows(z, tol=tol)
+    assert cloud.duplicate_rows(tol=tol) == pairs
+    assert cloud.rows_with_duplicates(tol=tol) == sorted({i for p in pairs for i in p})
+    return pairs
+
+
+def assert_same_triples(z, tol=1e-12):
+    z = np.asarray(z, dtype=float)
+    cloud = PointCloud(z)
+    for limit in LIMITS:
+        got = cloud.collinear_triples(tol=tol, limit=limit)
+        assert got == dense_collinear_triples(z, tol=tol, limit=limit), limit
+        assert all(type(i) is int for t in got for i in t)
+
+
+def gaussian_with_midpoint(seed, n):
+    rng = RNG(seed)
+    z = rng.standard_normal((n, 2))
+    i, j = rng.choice(n, size=2, replace=False)
+    at = int(rng.integers(0, n + 1))
+    return np.insert(z, at, 0.5 * (z[i] + z[j]), axis=0)
+
+
+GRID8 = np.array([(float(a), float(b)) for a in range(8) for b in range(8)])
+
+
+def test_collinear5_matches_dense(collinear5):
+    assert_same_triples(collinear5)
+    assert PointCloud(collinear5).collinear_triples(limit=4) == [
+        (0, 1, 2),
+        (0, 1, 3),
+        (0, 1, 4),
+        (0, 2, 3),
+    ]
+
+
+def test_grid_and_lattices_match_dense():
+    assert_same_triples(GRID8)
+    assert_same_triples(GRID8[RNG(1).permutation(64)])
+    for seed in range(6):
+        rng = RNG(10 + seed)
+        lattice = np.unique(rng.integers(-4, 5, size=(40, 2)), axis=0)
+        assert_same_triples(lattice[rng.permutation(len(lattice))])
+
+
+def test_duplicates_match_dense():
+    rng = RNG(20)
+    z = rng.standard_normal((30, 2))
+    exact = np.vstack([z, z[[3, 17]]])
+    assert_same_triples(exact)
+    for eps in (1e-13, 1e-9, 1e-6):
+        near = np.vstack([z[:12], z[5] + eps, z[12:], z[20] - [eps, 2 * eps]])
+        assert_same_triples(near)
+
+
+def test_midpoint_in_gaussian_cloud_matches_dense():
+    for seed, n in ((30, 20), (31, 60), (32, 150)):
+        z = gaussian_with_midpoint(seed, n)
+        assert PointCloud(z).collinear_triples(limit=10**9)
+        assert_same_triples(z)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e8])
+def test_scaled_clouds_match_dense(scale):
+    assert_same_triples(scale * RNG(40).standard_normal((60, 2)))
+    assert_same_triples(scale * gaussian_with_midpoint(41, 40))
+    assert_same_triples(scale * GRID8)
+
+
+def test_generic_cloud_has_no_triples():
+    z = make_cloud(50, 300).points
+    assert dense_collinear_triples(z, limit=4) == []
+    assert PointCloud(z).collinear_triples(limit=4) == []
+
+
+def test_other_tolerances_match_dense():
+    z = gaussian_with_midpoint(60, 40)
+    for tol in (0.0, 1e-6, 1e-2):
+        assert_same_triples(z, tol=tol)
+    # squared lengths below the normal range: no window, every pair tested
+    assert_same_triples(1e-160 * z, tol=0.0)
+
+
+def test_many_batches_match_dense(monkeypatch):
+    # tiny batches split the candidates of one anchor into many; a huge one
+    # takes them all at once
+    rng = RNG(70)
+    clouds = [GRID8, gaussian_with_midpoint(71, 30), rng.integers(-2, 3, size=(25, 2))]
+    for pairs in (1, 13, 200, 10**8):
+        monkeypatch.setattr(cloud_module, "_SCAN_BATCH_PAIRS", pairs)
+        for z in clouds:
+            assert_same_triples(z)
+
+
+def test_sampled_pool_matches_dense(monkeypatch):
+    monkeypatch.setattr(cloud_module, "COLLINEAR_SCAN_LIMIT", 50)
+    rng = RNG(80)
+    lattice = rng.integers(-5, 6, size=(80, 2)) + 1e-3 * np.arange(80)[:, None]
+    for z in (lattice, RNG(81).standard_normal((80, 2)), GRID8[:80]):
+        assert_same_triples(z)
+    assert PointCloud(lattice).collinear_triples(limit=10**9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+        min_size=3,
+        max_size=25,
+    )
+)
+def test_small_integer_clouds_match_dense(rows):
+    assert_same_triples(rows)
+
+
+def test_duplicate_rows_beyond_sort_neighbours():
+    # rows 0 and 2 coincide within tol but row 1 sorts between them
+    cloud = PointCloud([[0, 0], [0, 1], [1e-13, 0], [3, -2], [-1, 5]])
+    assert cloud.duplicate_rows() == [(0, 2)]
+    with pytest.raises(DegenerateData, match="duplicate points") as info:
+        cloud.require_general_position()
+    assert list(info.value.indices) == [0, 2]
+
+
+def test_duplicate_rows_match_all_pairs():
+    rng = RNG(90)
+    z = rng.integers(0, 3, size=(40, 2)).astype(float)
+    z[::3] += 1e-13 * rng.standard_normal((14, 2))
+    assert_same_duplicates(z)
+    w = rng.standard_normal((50, 3))
+    w[7] = w[31] + 5e-13
+    assert assert_same_duplicates(w) == [(7, 31)]
+    assert assert_same_duplicates(rng.standard_normal((50, 2))) == []
+    # 1-D cloud: 100 integer values, 20 copies each, in random order
+    ties = RNG(91).permutation(np.repeat(np.arange(100.0), 20))
+    assert len(assert_same_duplicates(ties)) == 100 * 20 * 19 // 2
+    # chains of values 0.6 tol apart: neighbours are duplicates, rows two
+    # steps apart are not
+    chain = 0.6e-12 * np.arange(30.0)
+    assert assert_same_duplicates(chain) == [(i, i + 1) for i in range(29)]
+    assert_same_duplicates(np.column_stack([chain, np.zeros(30)]))
+    assert_same_duplicates(np.column_stack([chain, chain[::-1]]))
+    for tol in (0.0, 0.5, 1.5):
+        assert_same_duplicates(z, tol=tol)
+    # steps of exactly tol
+    assert_same_duplicates(np.round(z), tol=1.0)
+
+
+def test_duplicate_rows_on_shared_coordinates_are_fast():
+    # Rows that share a first coordinate must not all become candidate
+    # pairs: 20,000 rows on a vertical line would make 2e8 of them.
+    y = RNG(92).permutation(20_000).astype(float)
+    line = PointCloud(np.column_stack([np.zeros_like(y), y]))
+    ties = PointCloud(RNG(93).permutation(np.repeat(np.arange(100.0), 200)))
+    t0 = time.perf_counter()
+    assert line.duplicate_rows() == []
+    assert line.rows_with_duplicates() == []
+    line.require_general_position(check_collinear=False)
+    assert ties.rows_with_duplicates() == list(range(20_000))
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_long_line_stops_at_limit():
+    # Every pair of anchor 0 is a candidate; the scan tests them in
+    # row-major order and stops at the limit.
+    x = np.arange(2000.0)
+    z = np.column_stack([x, 2.0 * x + 1.0])
+    cloud = PointCloud(z)
+    t0 = time.perf_counter()
+    assert cloud.collinear_triples(limit=4) == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)]
+    assert time.perf_counter() - t0 < 2.0
+    assert cloud.collinear_triples(limit=32) == dense_collinear_triples(z, limit=32)
