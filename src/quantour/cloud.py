@@ -116,13 +116,16 @@ class PointCloud:
         A triple counts as collinear when, with d = z[j] - z[i] and
         e = z[l] - z[i], |d_1 e_2 - d_2 e_1| <= tol * scale**2, where scale is
         max(1, max |z|).  Triples come by ascending i, then ascending (j, l),
-        and the scan stops after ``limit`` of them (at least one).
+        and the scan stops after ``limit`` of them; ``limit`` < 1 raises
+        ValueError.
 
         Exhaustive for n <= COLLINEAR_SCAN_LIMIT, otherwise a deterministic
         subsample of rows is scanned.  The exhaustive scan costs
         O(n^2 log n) plus the work on near-collinear pairs: see
         :func:`_anchor_hits`.
         """
+        if limit < 1:
+            raise ValueError(f"limit must be at least 1, got {limit}")
         if self.k != 2:
             return []
         z = self.points
@@ -136,7 +139,6 @@ class PointCloud:
         # scale-aware tolerance on twice the triangle area
         scale = max(1.0, float(np.abs(pts).max()))
         area_tol = tol * scale * scale
-        limit = max(limit, 1)
         hits = _collinear_hits(pts, area_tol, limit)
         return [tuple(t) for t in index_pool[hits].tolist()]
 

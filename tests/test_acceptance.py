@@ -32,6 +32,7 @@ from quantour import (
     km_envelope,
     outlier_scenario,
     regression_quantile,
+    response_direction_grid,
     solve_qr,
     sweep,
 )
@@ -253,6 +254,20 @@ def test_criterion_7_performance():
     cloud.require_general_position()
     t_check = time.perf_counter() - t0
     assert t_check < 5.0
+    # regression cut grid: n = 2000, q = 3, k = 2, 90 directions, < 5 s
+    n = 2000
+    X = rng.uniform(0.0, 1.0, size=(n, 3))
+    Y = X @ rng.standard_normal((3, 2)) + rng.standard_normal((n, 2)) * (
+        0.5 + 0.5 * X[:, :1]
+    )
+    t0 = time.perf_counter()
+    models = [
+        regression_quantile(RegressionProblem(X, Y, 0.20005, d))
+        for d in response_direction_grid(90)
+    ]
+    t_grid = time.perf_counter() - t0
+    assert all(len(m.fitted) == 5 for m in models)
+    assert t_grid < 5.0
 
 
 def test_criterion_8_degeneracy_and_jitter(tmp_path):

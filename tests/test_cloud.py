@@ -232,3 +232,13 @@ def test_long_line_stops_at_limit():
     assert cloud.collinear_triples(limit=4) == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)]
     assert time.perf_counter() - t0 < 2.0
     assert cloud.collinear_triples(limit=32) == dense_collinear_triples(z, limit=32)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_raises(limit):
+    with pytest.raises(ValueError, match="limit"):
+        PointCloud(np.column_stack([np.arange(5.0), np.arange(5.0)])).collinear_triples(
+            limit=limit
+        )
+    with pytest.raises(ValueError, match="limit"):
+        PointCloud(RNG(3).standard_normal((6, 3))).collinear_triples(limit=limit)
