@@ -32,7 +32,6 @@ from .geometry import (
     ConvexRegion2D,
     Direction,
     Hyperplane,
-    OrthoBasis,
     hausdorff_distance,
     intersect_halfplanes_2d,
     orthocomplement_basis,

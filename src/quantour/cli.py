@@ -26,7 +26,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,38 +59,6 @@ from .regression import (
 
 JITTER_DEFAULT = 1e-5
 FIG2_TAU_NUM = 2.5  # tau = 2.5/n for the quantile, 0.5/n for the hull regime
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation; see the argument parser for semantics."""
-
-    command: str
-    input: str | None = None
-    tau: float | None = None
-    u: tuple | None = None
-    u_text: str | None = None
-    x: tuple | None = None
-    x0: tuple | None = None
-    K: int = 201
-    grid: int = 360
-    bins: int = 0
-    method: str = "parametric"
-    phase: float = 0.0
-    flag_c: float = 3.0
-    seed: int = 0
-    jitter_amplitude: float = JITTER_DEFAULT
-    fmt: str = "json"
-    output: str | None = None
-    output_dir: str = "."
-    json_errors: bool = False
-    warnings: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.tau is not None and not (0.0 < self.tau < 1.0):
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if self.jitter_amplitude < 0:
-            raise ValueError("jitter amplitude must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -163,36 +130,29 @@ def ingest_csv(path):
     return "cloud", cloud, warnings
 
 
-def apply_jitter(cloud: PointCloud, amplitude: float, seed: int) -> PointCloud:
-    """Seeded uniform [-amplitude, amplitude] perturbation; 0 is identity."""
-    if amplitude == 0.0:
-        return cloud
-    return jitter(cloud, amplitude=amplitude, seed=seed)
-
-
-def _heal_cloud(config: RunConfig, data: PointCloud) -> PointCloud:
+def _heal_cloud(args, data: PointCloud) -> PointCloud:
     """Jitter a degenerate cloud (seeded), or re-raise when jitter is off."""
     try:
         data.require_general_position()
     except DegenerateData as exc:
-        if config.jitter_amplitude == 0.0:
+        if args.jitter_amplitude == 0.0:
             raise
-        config.warnings.append(
+        args.warnings.append(
             f"degenerate input ({exc}); applied jitter "
-            f"{config.jitter_amplitude:g} with seed {config.seed}"
+            f"{args.jitter_amplitude:g} with seed {args.seed}"
         )
-        data = apply_jitter(data, config.jitter_amplitude, config.seed)
+        data = jitter(data, amplitude=args.jitter_amplitude, seed=args.seed)
     return data
 
 
-def _load_cloud(config: RunConfig) -> PointCloud:
-    kind, data, warnings = ingest_csv(config.input)
-    config.warnings.extend(warnings)
+def _load_cloud(args) -> PointCloud:
+    kind, data, warnings = ingest_csv(args.input)
+    args.warnings.extend(warnings)
     if kind != "cloud":
         raise HeaderMismatch(
-            f"the {config.command} command expects plain coordinate columns"
+            f"the {args.command} command expects plain coordinate columns"
         )
-    return _heal_cloud(config, data)
+    return _heal_cloud(args, data)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +194,10 @@ def _hyperplane_payload(h) -> dict:
     }
 
 
-def _meta(config: RunConfig, cloud=None, **extra) -> dict:
-    meta = {"command": config.command, "seed": config.seed}
-    if config.tau is not None:
-        meta["tau"] = config.tau
+def _meta(args, cloud=None, **extra) -> dict:
+    meta = {"command": args.command, "seed": args.seed}
+    if args.tau is not None:
+        meta["tau"] = args.tau
     if cloud is not None:
         meta["n"] = cloud.n
         meta["k"] = cloud.k
@@ -368,22 +328,22 @@ def _parse_vector(text, k=None):
     return vals
 
 
-def _cmd_quantile(config: RunConfig):
-    cloud = _load_cloud(config)
-    u = Direction(np.array(config.u, dtype=float))
-    h = directional_quantile(cloud, config.tau, u)
+def _cmd_quantile(args):
+    u = Direction(np.array(_parse_vector(args.u), dtype=float))
+    cloud = _load_cloud(args)
+    h = directional_quantile(cloud, args.tau, u)
     result = _hyperplane_payload(h)
-    payload = {"meta": _meta(config, cloud), "result": result}
+    payload = {"meta": _meta(args, cloud), "result": result}
     rows = [["field", "value"]] + [[k, json.dumps(v)] for k, v in result.items()]
     svg = None
-    if config.fmt == "svg":
+    if args.fmt == "svg":
         svg = _svg_cloud_region(cloud, hyperplanes=[(h.b, h.a)])
     return payload, rows, svg
 
 
-def _cmd_contour(config: RunConfig):
-    cloud = _load_cloud(config)
-    res = sweep(cloud, config.tau, method=config.method)
+def _cmd_contour(args):
+    cloud = _load_cloud(args)
+    res = sweep(cloud, args.tau, method=args.method)
     region = fixed_tau_region(res)
     prob = probability_contents(region, cloud)
     arcs = [
@@ -396,7 +356,7 @@ def _cmd_contour(config: RunConfig):
         for arc in res.arcs
     ]
     payload = {
-        "meta": _meta(config, cloud, method=res.method, n_pivots=res.n_pivots),
+        "meta": _meta(args, cloud, method=res.method, n_pivots=res.n_pivots),
         "result": {
             "arcs": arcs,
             "region": region_payload(region),
@@ -413,39 +373,40 @@ def _cmd_contour(config: RunConfig):
             repr(h.multiplier), h.n_below,
         ])
     svg = None
-    if config.fmt == "svg":
+    if args.fmt == "svg":
         svg = _svg_cloud_region(cloud, region=region)
     return payload, rows, svg
 
 
-def _cmd_depth(config: RunConfig):
-    cloud = _load_cloud(config)
-    if config.x is None and config.tau is None:
+def _cmd_depth(args):
+    x = None if args.x is None else _parse_vector(args.x, 2)
+    cloud = _load_cloud(args)
+    if x is None and args.tau is None:
         raise ValueError("depth needs --x for a point or --tau for a region")
     result = {}
     rows = [["field", "value"]]
     region = None
-    if config.x is not None:
-        d = depth_2d(cloud, np.array(config.x, dtype=float))
+    if x is not None:
+        d = depth_2d(cloud, np.array(x, dtype=float))
         result["depth"] = {"count": d.count, "n": d.n, "normalized": d.normalized}
         rows += [["count", d.count], ["n", d.n], ["normalized", repr(d.normalized)]]
-    if config.tau is not None:
-        region = depth_region_bruteforce_2d(cloud, config.tau)
+    if args.tau is not None:
+        region = depth_region_bruteforce_2d(cloud, args.tau)
         result["region"] = region_payload(region)
         rows.append(["region_status", region.status])
-    payload = {"meta": _meta(config, cloud), "result": result}
+    payload = {"meta": _meta(args, cloud), "result": result}
     svg = None
-    if config.fmt == "svg":
-        marks = [np.array(config.x)] if config.x is not None else []
+    if args.fmt == "svg":
+        marks = [np.array(x)] if x is not None else []
         svg = _svg_cloud_region(cloud, region=region, marks=marks)
     return payload, rows, svg
 
 
-def _cmd_km(config: RunConfig):
-    cloud = _load_cloud(config)
-    cfg = EnvelopeConfig(K=config.K, tau=config.tau, phase=config.phase)
+def _cmd_km(args):
+    cloud = _load_cloud(args)
+    cfg = EnvelopeConfig(K=args.K, tau=args.tau, phase=args.phase)
     envelope = km_envelope(cloud, cfg)
-    exact = fixed_tau_region(sweep(cloud, config.tau))
+    exact = fixed_tau_region(sweep(cloud, args.tau))
     comparison = compare_regions(exact, envelope)
     result = {
         "envelope": region_payload(envelope),
@@ -458,12 +419,12 @@ def _cmd_km(config: RunConfig):
             "km_contains_exact": comparison.km_contains_exact,
         },
     }
-    payload = {"meta": _meta(config, cloud, K=config.K), "result": result}
+    payload = {"meta": _meta(args, cloud, K=args.K), "result": result}
     rows = [["field", "value"]] + [
         [k, json.dumps(v)] for k, v in result["comparison"].items()
     ]
     svg = None
-    if config.fmt == "svg":
+    if args.fmt == "svg":
         lo, hi = _view_box(cloud.points)
         canvas = _SvgCanvas(lo, hi)
         if envelope.status == BOUNDED:
@@ -478,12 +439,12 @@ def _cmd_km(config: RunConfig):
     return payload, rows, svg
 
 
-def _cmd_scan(config: RunConfig):
-    cloud = _load_cloud(config)
+def _cmd_scan(args):
+    cloud = _load_cloud(args)
     directions = [
-        Direction.from_angle(2.0 * np.pi * j / config.K) for j in range(config.K)
+        Direction.from_angle(2.0 * np.pi * j / args.K) for j in range(args.K)
     ]
-    series = multiplier_scan(cloud, config.tau, directions, flag_c=config.flag_c)
+    series = multiplier_scan(cloud, args.tau, directions, flag_c=args.flag_c)
     flagged = set(series.flagged)
     result = {
         "entries": [
@@ -494,25 +455,26 @@ def _cmd_scan(config: RunConfig):
         "mad": series.mad,
         "flagged": list(series.flagged),
     }
-    payload = {"meta": _meta(config, cloud, K=config.K), "result": result}
+    payload = {"meta": _meta(args, cloud, K=args.K), "result": result}
     rows = [["label", "multiplier", "flagged"]]
     for i, (lab, m) in enumerate(series.entries):
         rows.append([repr(float(lab)), repr(float(m)), int(i in flagged)])
     return payload, rows, None
 
 
-def _cmd_regress(config: RunConfig):
-    kind, data, warnings = ingest_csv(config.input)
-    config.warnings.extend(warnings)
+def _cmd_regress(args):
+    x0 = None if args.x0 is None else _parse_vector(args.x0)
+    kind, data, warnings = ingest_csv(args.input)
+    args.warnings.extend(warnings)
     if kind == "cloud":
-        data = _heal_cloud(config, data)
+        data = _heal_cloud(args, data)
         X = np.zeros((data.n, 0))
         Y = data.points
     else:
         X, Y = data
     k = Y.shape[1]
-    u = Direction(np.array(_parse_vector(config.u_text, k), dtype=float))
-    rp = RegressionProblem(X, Y, config.tau, u)
+    u = Direction(np.array(_parse_vector(args.u, k), dtype=float))
+    rp = RegressionProblem(X, Y, args.tau, u)
     q = regression_quantile(rp)
     result = {
         "a": q.a,
@@ -522,24 +484,24 @@ def _cmd_regress(config: RunConfig):
         "fitted": list(q.fitted),
         "counts": list(q.counts),
     }
-    if config.bins >= 2:
-        diag = coverage_diagnostic(rp, q, config.bins)
+    if args.bins:
+        diag = coverage_diagnostic(rp, q, args.bins)
         result["coverage"] = {
             "global_fraction": diag.global_fraction,
             "deviations": list(diag.deviations),
             "bin_edges": list(diag.bin_edges),
             "bin_counts": list(diag.bin_counts),
         }
-    if config.x0 is not None:
+    if x0 is not None:
         if k != 2:
             raise ValueError("cuts are defined for k=2 response spaces")
         models = [
-            regression_quantile(RegressionProblem(X, Y, config.tau, d))
-            for d in response_direction_grid(config.grid)
+            regression_quantile(RegressionProblem(X, Y, args.tau, d))
+            for d in response_direction_grid(args.grid)
         ]
-        cut = fixed_x_cut(models, np.array(config.x0, dtype=float))
+        cut = fixed_x_cut(models, np.array(x0, dtype=float))
         result["cut"] = region_payload(cut)
-    payload = {"meta": _meta(config, n=Y.shape[0], k=k, p=X.shape[1] + 1),
+    payload = {"meta": _meta(args, n=Y.shape[0], k=k, p=X.shape[1] + 1),
                "result": result}
     rows = [["field", "value"]] + [
         [kk, json.dumps(vv)] for kk, vv in result.items() if kk != "cut"
@@ -547,7 +509,7 @@ def _cmd_regress(config: RunConfig):
     return payload, rows, None
 
 
-def _cmd_fig2(config: RunConfig):
+def _cmd_fig2(args):
     n = 99
     tau_q = FIG2_TAU_NUM / n
     tau_hull = 0.5 / n
@@ -556,7 +518,7 @@ def _cmd_fig2(config: RunConfig):
     inside = 0
     last = None
     for ell in range(15):
-        cloud = outlier_scenario(config.seed, ell)
+        cloud = outlier_scenario(args.seed, ell)
         h = directional_quantile(cloud, tau_q, u0)
         hull = fixed_tau_region(sweep(cloud, tau_hull))
         outlier = cloud.points[-1]
@@ -564,7 +526,7 @@ def _cmd_fig2(config: RunConfig):
             inside += 1
         table.append((ell, h.multiplier))
         last = (cloud, h, hull)
-    out_dir = Path(config.output_dir)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     csv_path = out_dir / "fig2_lambda.csv"
@@ -593,7 +555,7 @@ def _cmd_fig2(config: RunConfig):
     (out_dir / "fig2_multiplier.svg").write_text(right, encoding="utf-8")
 
     payload = {
-        "meta": {"command": "fig2", "seed": config.seed, "tau": tau_q, "n": n},
+        "meta": {"command": "fig2", "seed": args.seed, "tau": tau_q, "n": n},
         "result": {
             "table": [{"ell": ell, "multiplier": lam} for ell, lam in table],
             "outlier_inside_hull": inside,
@@ -623,36 +585,36 @@ _COMMANDS = {
 # dispatch and emission
 
 
-def _emit(config: RunConfig, payload, rows, svg) -> None:
-    for w in config.warnings:
+def _emit(args, payload, rows, svg) -> None:
+    for w in args.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if config.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(rows)
         text = buf.getvalue()
-    elif config.fmt == "svg":
+    elif args.fmt == "svg":
         if svg is None:
-            raise ValueError(f"svg output is not defined for {config.command}")
+            raise ValueError(f"svg output is not defined for {args.command}")
         text = svg
     else:
-        raise ValueError(f"unknown format {config.fmt!r}")
-    if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
+        raise ValueError(f"unknown format {args.fmt!r}")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _emit_error(config: RunConfig, exc: Exception, code: int) -> None:
+def _emit_error(args, exc: Exception, code: int) -> None:
     suggestion = None
     if code == 3:
         suggestion = (
             f"rerun with --jitter {JITTER_DEFAULT:g} (seeded with --seed) "
             "to perturb the degenerate rows"
         )
-    if config.json_errors:
+    if args.json_errors:
         doc = {
             "error": type(exc).__name__,
             "message": str(exc),
@@ -673,21 +635,23 @@ def _emit_error(config: RunConfig, exc: Exception, code: int) -> None:
             print(f"suggestion: {suggestion}", file=sys.stderr)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+def run(args) -> int:
+    """Execute one parsed command line; returns the process exit code."""
     try:
-        handler = _COMMANDS[config.command]
-        payload, rows, svg = handler(config)
-        _emit(config, payload, rows, svg)
+        if not getattr(args, "jitter_amplitude", 0.0) >= 0.0:
+            raise ValueError("jitter amplitude must be nonnegative")
+        handler = _COMMANDS[args.command]
+        payload, rows, svg = handler(args)
+        _emit(args, payload, rows, svg)
         return 0
     except DegenerateTau as exc:
-        _emit_error(config, exc, 2)
+        _emit_error(args, exc, 2)
         return 2
     except DegenerateData as exc:
-        _emit_error(config, exc, 3)
+        _emit_error(args, exc, 3)
         return 3
     except (QuantourError, OSError, ValueError) as exc:
-        _emit_error(config, exc, 1)
+        _emit_error(args, exc, 1)
         return 1
 
 
@@ -757,33 +721,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("input", "tau", "K", "bins", "grid", "method", "phase",
-                 "flag_c", "seed", "jitter_amplitude", "fmt", "output",
-                 "output_dir", "json_errors"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "u", None) is not None:
-        if args.command == "regress":
-            cfg.u_text = args.u
-        else:
-            cfg.u = _parse_vector(args.u)
-    if getattr(args, "x", None) is not None:
-        cfg.x = _parse_vector(args.x, 2)
-    if getattr(args, "x0", None) is not None:
-        cfg.x0 = _parse_vector(args.x0)
-    return cfg
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(config)
+    args.warnings = []
+    return run(args)
 
 
 if __name__ == "__main__":

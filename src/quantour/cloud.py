@@ -16,11 +16,6 @@ from .errors import DegenerateData, DimensionMismatch, StillDegenerate
 # and a triple with |cross product| below this counts as collinear.
 GENERAL_POSITION_TOL = 1e-12
 
-# The exhaustive collinearity scan costs O(n^2 log n) for points in general
-# position; above this row count only a deterministic subsample of rows is
-# checked.
-COLLINEAR_SCAN_LIMIT = 5000
-
 # The collinearity scan tests an anchor's candidate pairs in batches of
 # about this many.
 _SCAN_BATCH_PAIRS = 1_000_000
@@ -119,28 +114,19 @@ class PointCloud:
         and the scan stops after ``limit`` of them; ``limit`` < 1 raises
         ValueError.
 
-        Exhaustive for n <= COLLINEAR_SCAN_LIMIT, otherwise a deterministic
-        subsample of rows is scanned.  The exhaustive scan costs
-        O(n^2 log n) plus the work on near-collinear pairs: see
-        :func:`_anchor_hits`.
+        Every row is scanned, at a cost of O(n^2 log n) plus the work on
+        near-collinear pairs: see :func:`_anchor_hits`.
         """
         if limit < 1:
             raise ValueError(f"limit must be at least 1, got {limit}")
         if self.k != 2:
             return []
-        z = self.points
-        n = self.n
-        if n <= COLLINEAR_SCAN_LIMIT:
-            index_pool = np.arange(n)
-        else:
-            rng = np.random.default_rng(0)
-            index_pool = np.sort(rng.choice(n, size=COLLINEAR_SCAN_LIMIT, replace=False))
-        pts = z[index_pool]
+        pts = self.points
         # scale-aware tolerance on twice the triangle area
         scale = max(1.0, float(np.abs(pts).max()))
         area_tol = tol * scale * scale
         hits = _collinear_hits(pts, area_tol, limit)
-        return [tuple(t) for t in index_pool[hits].tolist()]
+        return [tuple(t) for t in hits.tolist()]
 
     def require_general_position(self, check_collinear: bool | None = None):
         """Raise DegenerateData on duplicates or (planar) collinear triples.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .directional import QuantileHyperplane, _reduce, _stationarity_solve
+from .directional import QuantileHyperplane
 from .errors import (
     ArcGap,
     DegenerateData,
@@ -35,6 +35,7 @@ from .geometry import (
     vector_norm,
 )
 from .qr import QrProblem, check_loss, solve_qr, validate_tau
+from .regression import _design, _location_stationarity_solve
 
 TWO_PI = 2.0 * np.pi
 # endpoint slack allowed when checking that arcs tile the circle
@@ -160,7 +161,7 @@ def _hyperplane_at(z, tau, i, j, s, phi) -> QuantileHyperplane:
         raise ArcGap(f"direction {phi:.9f} is outside the basis orientation cone")
     b = npr / dn
     a = float(b @ z[i])
-    gamma = orthocomplement_basis(u).matrix
+    gamma = orthocomplement_basis(u)
     c = gamma.T @ (b - u.vector)
     proj = (z - z[i]) @ npr
     sgn = s * proj
@@ -170,7 +171,7 @@ def _hyperplane_at(z, tau, i, j, s, phi) -> QuantileHyperplane:
     n_below = int(np.count_nonzero(sgn < 0))
     n_above = n - 2 - n_below
 
-    mult, duals = _stationarity_solve(z, u.vector, tau, (i, j), psi)
+    mult, duals = _location_stationarity_solve(z, u.vector, (i, j), psi)
     if (duals > tau + 1e-9).any() or (duals < tau - 1.0 - 1e-9).any():
         raise ArcGap("representative direction is not inside the validity arc")
     r = z @ b - a
@@ -237,10 +238,11 @@ def _march_arcs(cloud: PointCloud, tau: float):
     """Parametric traversal; returns ([(lo, hi, i, j, s)], pivots)."""
     z = cloud.points
     n = z.shape[0]
+    no_regressors = np.empty((n, 0))
 
     def solve_at(phi, warm):
         u = Direction.from_angle(phi)
-        y, X, _ = _reduce(cloud, u)
+        y, X, _ = _design(z, no_regressors, u)
         try:
             sol = solve_qr(QrProblem(y, X, tau), initial_basis=warm)
         except DegenerateDesign as exc:

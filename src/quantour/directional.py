@@ -21,17 +21,12 @@ from .errors import (
     DimensionMismatch,
     EllOutOfRange,
     EmptyHalfspace,
-    NoConvergence,
     QuantourError,
     SingularSystem,
 )
-from .geometry import Direction, orthocomplement_basis
-from .qr import QrProblem, QrSolution, solve_qr, validate_tau
-
-# in-solve verification tolerances for the multiplier identity and the
-# stationarity reconstruction
-MULT_TOL = 1e-7
-KKT_TOL = 1e-7
+from .geometry import Direction
+from .qr import QrProblem, solve_qr, validate_tau
+from .regression import _certify, _design, _lift, _location_stationarity_solve
 
 
 @dataclass(frozen=True)
@@ -84,31 +79,14 @@ class QuantileHyperplane:
         return (self.n_below, self.n_on, self.n_above)
 
 
-def _reduce(cloud: PointCloud, u: Direction):
-    """Responses and design of the equivalent unconstrained regression."""
-    z = cloud.points
-    n, k = z.shape
-    if u.k != k:
-        raise DimensionMismatch(f"direction has k={u.k}, cloud has k={k}")
-    if n <= k:
-        raise DimensionMismatch(f"need n > k observations, got n={n}, k={k}")
-    y = z @ u.vector
-    if k == 1:
-        return y, np.ones((n, 1)), None
-    gamma = orthocomplement_basis(u).matrix
-    X = np.ones((n, k))
-    X[:, 1:] = z @ gamma
-    return y, X, gamma
-
-
 def directional_quantile(cloud: PointCloud, tau: float, u) -> QuantileHyperplane:
     """Exact tau-quantile hyperplane in direction u.
 
     Solves the reduced quantile regression of u'z on the orthocomplement
-    coordinates, rebuilds (a, b), and verifies in-solve that the
-    Lagrange multiplier from the stationarity system matches the optimal
-    objective (within 1e-7) and that multiplier * u = sum(psi_i z_i)
-    holds per coordinate.
+    coordinates (the regression reduction with no regressors), rebuilds
+    (a, b), and verifies in-solve that the Lagrange multiplier from the
+    stationarity system matches the optimal objective (within 1e-7) and
+    that multiplier * u = sum(psi_i z_i) holds per coordinate.
 
     Raises
     ------
@@ -118,82 +96,33 @@ def directional_quantile(cloud: PointCloud, tau: float, u) -> QuantileHyperplane
     """
     if not isinstance(u, Direction):
         u = Direction(u)
-    y, X, gamma = _reduce(cloud, u)
-    validate_tau(tau, cloud.n)
+    z = cloud.points
+    n, k = z.shape
+    if u.k != k:
+        raise DimensionMismatch(f"direction has k={u.k}, cloud has k={k}")
+    if n <= k:
+        raise DimensionMismatch(f"need n > k observations, got n={n}, k={k}")
+    y, X, gamma = _design(z, np.empty((n, 0)), u)
+    validate_tau(tau, n)
     try:
         sol = solve_qr(QrProblem(y, X, tau))
     except DegenerateDesign as exc:
         raise DegenerateData(f"cloud is degenerate along direction {u!r}: {exc}")
-    return _assemble(cloud, tau, u, gamma, sol)
-
-
-def _assemble(cloud: PointCloud, tau: float, u: Direction, gamma, sol: QrSolution) -> QuantileHyperplane:
-    """Lift a reduced-problem solution back to hyperplane form and verify it."""
-    a = float(sol.beta[0])
-    c = -sol.beta[1:]
-    b = u.vector if gamma is None else u.vector + gamma @ c
-    if abs(b @ u.vector - 1.0) > 1e-9:
-        raise NoConvergence("normalization b'u = 1 failed")
-
-    mult, duals = _stationarity_solve(cloud.points, u.vector, tau, sol.fitted, sol.psi)
-    if abs(mult - sol.objective) > MULT_TOL * (1.0 + abs(sol.objective)):
-        raise NoConvergence(
-            f"multiplier {mult:.12g} does not match objective {sol.objective:.12g}"
-        )
-    if mult < -1e-9:
-        raise NoConvergence(f"negative multiplier {mult:.12g}")
-    if float(np.abs(duals - sol.duals).max()) > MULT_TOL:
-        raise NoConvergence("stationarity duals disagree with exchange duals")
-    psi_full = sol.psi.copy()
-    psi_full[list(sol.fitted)] = duals
-    kkt_gap = mult * u.vector - cloud.points.T @ psi_full
-    if float(np.abs(kkt_gap).max()) > KKT_TOL * (1.0 + abs(mult)):
-        raise NoConvergence("stationarity reconstruction failed")
-
+    a, d, b = _lift(sol, u, gamma, 0)
+    mult, duals = _location_stationarity_solve(z, u.vector, sol.fitted, sol.psi)
+    _certify(sol, mult, duals, z, u)
     return QuantileHyperplane(
         tau=tau,
         u=u,
         a=a,
         b=b,
-        c=c,
+        c=-d,
         multiplier=mult,
         fitted=sol.fitted,
         duals=duals,
         n_below=sol.n_below,
         n_above=sol.n_above,
     )
-
-
-def _stationarity_solve(z, u_vec, tau, fitted, psi):
-    """Multiplier and fitted duals from the stationarity conditions.
-
-    Unknowns (lam, v_1..v_m) solve
-        sum_i psi_i = 0
-        lam * u = sum_i psi_i z_i
-    with the non-fitted psi fixed at tau / tau-1.  The system is square of
-    size k+1 because a nondegenerate fit has m = k points.
-    """
-    n, k = z.shape
-    fitted = list(fitted)
-    m = len(fitted)
-    mask = np.zeros(n, dtype=bool)
-    mask[fitted] = True
-    s0 = float(psi[~mask].sum())
-    s1 = z[~mask].T @ psi[~mask]
-    M = np.zeros((k + 1, m + 1))
-    M[0, 1:] = 1.0
-    M[1:, 0] = -u_vec
-    M[1:, 1:] = z[fitted].T
-    rhs = np.concatenate([[-s0], -s1])
-    if M.shape[0] != M.shape[1]:
-        raise SingularSystem(
-            f"stationarity system is not square: {m} fitted points, k={k}"
-        )
-    try:
-        w = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystem("stationarity system is singular")
-    return float(w[0]), w[1:]
 
 
 def lagrange_multiplier(h: QuantileHyperplane, cloud: PointCloud) -> float:
@@ -206,7 +135,7 @@ def lagrange_multiplier(h: QuantileHyperplane, cloud: PointCloud) -> float:
     r = h.residual(cloud.points)
     ztol = 1e-9 * (1.0 + float(np.abs(cloud.points).max()))
     psi = np.where(r <= -ztol, h.tau - 1.0, h.tau)
-    mult, _ = _stationarity_solve(cloud.points, h.u.vector, h.tau, h.fitted, psi)
+    mult, _ = _location_stationarity_solve(cloud.points, h.u.vector, h.fitted, psi)
     if mult < -1e-9:
         raise SingularSystem(f"negative multiplier {mult:.12g} for a claimed optimum")
     return mult

@@ -120,24 +120,14 @@ class Hyperplane:
         return Hyperplane(self.normal / norm, self.offset / norm)
 
 
-@dataclass(frozen=True)
-class OrthoBasis:
-    """Orthonormal basis of the orthogonal complement of a direction.
-
-    ``matrix`` is k x (k-1) with orthonormal columns, each orthogonal to
-    ``direction.vector`` within UNIT_TOL.
-    """
-
-    direction: Direction
-    matrix: np.ndarray
-
-
-def orthocomplement_basis(u: Direction) -> OrthoBasis:
+def orthocomplement_basis(u: Direction) -> np.ndarray:
     """Canonical orthonormal basis of the complement of ``u``.
 
-    Gram-Schmidt applied to the standard basis vectors e_j in index order,
-    skipping the coordinate where |u_j| is largest (first such index on
-    ties).  Deterministic, so repeated calls agree exactly.
+    Returns a read-only k x (k-1) array whose orthonormal columns are each
+    orthogonal to ``u.vector`` within UNIT_TOL.  Gram-Schmidt applied to
+    the standard basis vectors e_j in index order, skipping the coordinate
+    where |u_j| is largest (first such index on ties).  Deterministic, so
+    repeated calls agree exactly.
     """
     k = u.k
     if k < 2:
@@ -159,7 +149,7 @@ def orthocomplement_basis(u: Direction) -> OrthoBasis:
         m[:, len(basis) - 1] = v
         basis.append(v)
     m.setflags(write=False)
-    return OrthoBasis(u, m)
+    return m
 
 
 def polygon_area(vertices) -> float:
@@ -349,7 +339,7 @@ def _dedupe_ring(V: np.ndarray, tol: float) -> np.ndarray:
     return V[d > tol]
 
 
-def intersect_halfplanes_2d(halfplanes, method: str = "auto") -> ConvexRegion2D:
+def intersect_halfplanes_2d(halfplanes, method: str = "lazy") -> ConvexRegion2D:
     """Intersection of closed halfplanes {x : normal' x >= offset}.
 
     Parameters
@@ -360,13 +350,13 @@ def intersect_halfplanes_2d(halfplanes, method: str = "auto") -> ConvexRegion2D:
         hold their constraints as arrays build no Hyperplane objects.
         Both forms reach the same array routine and give identical
         results for identical floats.
-    method : {"auto", "lazy", "eager"}
-        "lazy" repeatedly clips a bounding box by the currently most
-        violated constraint and permanently drops satisfied ones; it is
-        output sensitive and the right choice when few inputs are facets.
-        "eager" clips by every constraint in normal-angle order and wins
-        when most inputs are facets (dense direction grids).  "auto"
-        currently selects "lazy".
+    method : {"lazy", "eager"}
+        "lazy" (the default) repeatedly clips a bounding box by the
+        currently most violated constraint and permanently drops satisfied
+        ones; it is output sensitive and the right choice when few inputs
+        are facets.  "eager" clips by every constraint in normal-angle
+        order and wins when most inputs are facets (dense direction
+        grids).
 
     Returns
     -------
@@ -410,7 +400,7 @@ def _intersect(B: np.ndarray, A: np.ndarray, method: str) -> ConvexRegion2D:
     """intersect_halfplanes_2d over raw normals B (m, 2) and offsets A (m,)."""
     if A.shape[0] == 0:
         return ConvexRegion2D(np.empty((0, 2)), (), UNBOUNDED)
-    if method not in ("auto", "lazy", "eager"):
+    if method not in ("lazy", "eager"):
         raise ValueError(f"unknown method {method!r}")
 
     # bit for bit Hyperplane.unit()'s norm; np.linalg.norm(B, axis=1) rounds differently

@@ -2,11 +2,13 @@
 
 Directions are restricted to the response subspace: the hyperplane
 b'y = c'x + a with b'u = 1 minimizes the check loss of b'y_i - c'x_i - a.
-The same reduction as the location case applies with the regressors
-appended to the design, so one exact solve handles any (p, k).  Fixed-x
-cuts assemble a response-space region from a grid of fitted directions,
-and the coverage diagnostic turns the lower-halfspace fractions into a
-binned linearity check.
+The location case is the special case with no regressors, so this
+module holds the one reduction (design, lift and certificates) that the
+directional quantile, the direction sweep and the regression fit share,
+and one exact solve handles any (p, k).  Fixed-x cuts assemble a
+response-space region from a grid of fitted directions, and the coverage
+diagnostic turns the lower-halfspace fractions into a binned linearity
+check.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .geometry import (
     intersect_halfplanes_2d,
     orthocomplement_basis,
 )
-from .qr import QrProblem, solve_qr, validate_tau
+from .qr import QrProblem, QrSolution, solve_qr, validate_tau
 
-# certificate tolerances, same scale discipline as the location case
+# in-solve verification tolerances for the multiplier identity and the
+# stationarity reconstruction, shared by the location and regression fits
 MULT_TOL = 1e-7
 KKT_TOL = 1e-7
 
@@ -120,15 +123,60 @@ class RegressionQuantile:
         return y @ self.b - x @ self.c - self.a
 
 
-def _design(rp: RegressionProblem):
-    """Responses and design of the reduced unconstrained regression."""
-    t = rp.Y @ rp.u.vector
-    cols = [np.ones(rp.n), rp.X]
-    if rp.k == 1:
-        return t, np.column_stack(cols), None
-    gamma = orthocomplement_basis(rp.u).matrix
-    cols.append(rp.Y @ gamma)
-    return t, np.column_stack(cols), gamma
+def _design(Y, X, u: Direction):
+    """Response u'y and design [1, X, Y Gamma] of the reduced regression.
+
+    The constrained fit b'y_i - c'x_i - a with b'u = 1 becomes the
+    unconstrained regression of u'y_i on (1, x_i, Gamma'y_i), where Gamma
+    is the canonical orthocomplement basis of u.  The location case passes
+    X with no columns.  Returns (t, design, gamma); gamma has no columns
+    when k = 1.
+    """
+    n, k = Y.shape
+    q = X.shape[1]
+    t = Y @ u.vector
+    design = np.ones((n, q + k))
+    design[:, 1 : 1 + q] = X
+    if k == 1:
+        return t, design, np.empty((1, 0))
+    gamma = orthocomplement_basis(u)
+    design[:, 1 + q :] = Y @ gamma
+    return t, design, gamma
+
+
+def _lift(sol: QrSolution, u: Direction, gamma, q: int):
+    """Intercept a, response coefficients d and normal b = u - Gamma d."""
+    a = float(sol.beta[0])
+    d = sol.beta[1 + q :]
+    b = u.vector - gamma @ d
+    if abs(b @ u.vector - 1.0) > 1e-9:
+        raise NoConvergence("normalization b'u = 1 failed")
+    return a, d, b
+
+
+def _certify(sol: QrSolution, mult: float, duals, Y, u: Direction) -> None:
+    """Verify a lifted solve against its stationarity system.
+
+    The multiplier must equal the optimal objective and be nonnegative,
+    the stationarity duals must agree with the exchange duals, and the
+    response-space KKT condition multiplier * u = sum(psi_i y_i) must hold
+    per coordinate.  Off the basis ``sol.psi`` is tau / tau-1 by residual
+    sign: solve_qr rejects off-basis rows with |r| < ztol.
+    """
+    objective = sol.objective
+    if abs(mult - objective) > MULT_TOL * (1.0 + abs(objective)):
+        raise NoConvergence(
+            f"multiplier {mult:.12g} does not match objective {objective:.12g}"
+        )
+    if mult < -1e-9:
+        raise NoConvergence(f"negative multiplier {mult:.12g}")
+    if float(np.abs(duals - sol.duals).max()) > MULT_TOL:
+        raise NoConvergence("stationarity duals disagree with exchange duals")
+    psi = sol.psi.copy()
+    psi[list(sol.fitted)] = duals
+    gap = mult * u.vector - Y.T @ psi
+    if float(np.abs(gap).max()) > KKT_TOL * (1.0 + abs(mult)):
+        raise NoConvergence("stationarity reconstruction failed")
 
 
 def regression_quantile(rp: RegressionProblem) -> RegressionQuantile:
@@ -138,46 +186,23 @@ def regression_quantile(rp: RegressionProblem) -> RegressionQuantile:
     system matches the optimal objective and that the response-space KKT
     condition multiplier * u = sum(psi_i y_i) holds per coordinate.
     """
-    t, X, gamma = _design(rp)
+    t, design, gamma = _design(rp.Y, rp.X, rp.u)
     try:
-        sol = solve_qr(QrProblem(t, X, rp.tau))
+        sol = solve_qr(QrProblem(t, design, rp.tau))
     except DegenerateDesign as exc:
         raise DegenerateData(f"degenerate regression design: {exc}")
     q = rp.p - 1
-    a = float(sol.beta[0])
-    c = np.array(sol.beta[1 : 1 + q])
-    if rp.k == 1:
-        # b = u gives b'u = u^2 = 1 and b*y - c'x - a = the reduced residual
-        b = rp.u.vector.copy()
-    else:
-        d = sol.beta[1 + q :]
-        b = rp.u.vector - gamma @ d
-    if abs(b @ rp.u.vector - 1.0) > 1e-9:
-        raise NoConvergence("direction normalization lost in reconstruction")
-
-    psi = _psi_full(rp, sol)
-    mult, duals = _stationarity_solve(rp, sol.fitted, psi)
-    objective = sol.objective
-    if abs(mult - objective) > MULT_TOL * (1.0 + abs(objective)):
-        raise NoConvergence(
-            f"multiplier {mult:.12g} disagrees with objective {objective:.12g}"
-        )
-    if mult < -1e-9:
-        raise NoConvergence(f"negative multiplier {mult:.3e}")
-    if np.max(np.abs(duals - sol.duals)) > KKT_TOL:
-        raise NoConvergence("stationarity duals disagree with the solver duals")
-    psi_chk = psi.copy()
-    psi_chk[list(sol.fitted)] = duals
-    gap = np.abs(mult * rp.u.vector - rp.Y.T @ psi_chk)
-    if np.max(gap) > KKT_TOL * (1.0 + abs(mult)):
-        raise NoConvergence("response-space stationarity failed")
-
+    a, _, b = _lift(sol, rp.u, gamma, q)
+    mult, duals = _stationarity_solve(
+        design[:, : rp.p], rp.Y, rp.u.vector, sol.fitted, sol.psi
+    )
+    _certify(sol, mult, duals, rp.Y, rp.u)
     return RegressionQuantile(
         tau=rp.tau,
         u=rp.u,
         a=a,
         b=b,
-        c=c,
+        c=np.array(sol.beta[1 : 1 + q]),
         multiplier=mult,
         fitted=sol.fitted,
         duals=duals,
@@ -187,34 +212,69 @@ def regression_quantile(rp: RegressionProblem) -> RegressionQuantile:
     )
 
 
-def _psi_full(rp: RegressionProblem, sol):
-    """Subgradient weights: tau / tau-1 by residual sign, 0 on fitted rows."""
-    psi = np.where(sol.residuals > 0, rp.tau, rp.tau - 1.0)
-    psi[list(sol.fitted)] = 0.0
-    return psi
+# Two stationarity solves remain because they round the intercept row
+# differently: the location case sums psi_N, the regression case takes the
+# product [1, X]_N' psi_N.  Summing changes the bits of 43 of the 80
+# regression multipliers of the benchmark's regression cuts (seeds 0-39),
+# and the committed output digests pin both roundings, so merging the two
+# waits for a benchmark change that records new digests.
 
 
-def _stationarity_solve(rp: RegressionProblem, fitted, psi):
-    """Multiplier and fitted duals from the regression KKT system.
+def _location_stationarity_solve(z, u_vec, fitted, psi):
+    """Multiplier and fitted duals of a location (no-regressor) fit.
 
     Unknowns (lam, v_1..v_m) solve
+        sum_i psi_i = 0
+        lam * u = sum_i psi_i z_i
+    with the non-fitted psi fixed at tau / tau-1.  The system is square of
+    size k+1 because a nondegenerate fit has m = k points.
+    """
+    n, k = z.shape
+    fitted = list(fitted)
+    m = len(fitted)
+    mask = np.zeros(n, dtype=bool)
+    mask[fitted] = True
+    s0 = float(psi[~mask].sum())
+    s1 = z[~mask].T @ psi[~mask]
+    M = np.zeros((k + 1, m + 1))
+    M[0, 1:] = 1.0
+    M[1:, 0] = -u_vec
+    M[1:, 1:] = z[fitted].T
+    rhs = np.concatenate([[-s0], -s1])
+    if M.shape[0] != M.shape[1]:
+        raise SingularSystem(
+            f"stationarity system is not square: {m} fitted points, k={k}"
+        )
+    try:
+        w = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystem("stationarity system is singular")
+    return float(w[0]), w[1:]
+
+
+def _stationarity_solve(xa, Y, u_vec, fitted, psi):
+    """Multiplier and fitted duals from the regression KKT system.
+
+    ``xa`` is the (n, p) block [1, X] of the design.  Unknowns
+    (lam, v_1..v_m) solve
         sum_i psi_i = 0
         sum_i psi_i x_i = 0        (per regressor)
         lam * u = sum_i psi_i y_i  (per response coordinate)
     with non-fitted psi fixed.  Square of size m + 1 = k + p.
     """
+    n, p = xa.shape
+    k = Y.shape[1]
     m = len(fitted)
-    if m + 1 != rp.k + rp.p:
+    if m + 1 != k + p:
         raise SingularSystem(f"stationarity system is not square (m={m})")
     rows = list(fitted)
-    mask = np.ones(rp.n, dtype=bool)
+    mask = np.ones(n, dtype=bool)
     mask[rows] = False
-    xa = np.column_stack([np.ones(rp.n), rp.X])
     M = np.zeros((m + 1, m + 1))
-    M[: rp.p, 1:] = xa[rows].T
-    M[rp.p :, 0] = -rp.u.vector
-    M[rp.p :, 1:] = rp.Y[rows].T
-    rhs = np.concatenate([-(xa[mask].T @ psi[mask]), -(rp.Y[mask].T @ psi[mask])])
+    M[:p, 1:] = xa[rows].T
+    M[p:, 0] = -u_vec
+    M[p:, 1:] = Y[rows].T
+    rhs = np.concatenate([-(xa[mask].T @ psi[mask]), -(Y[mask].T @ psi[mask])])
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:

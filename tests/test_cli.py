@@ -6,8 +6,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from quantour import EmptyInput, HeaderMismatch, ParseError, PointCloud
-from quantour.cli import apply_jitter, ingest_csv, main, region_from_payload
+from quantour import EmptyInput, HeaderMismatch, ParseError
+from quantour.cli import ingest_csv, main, region_from_payload
 
 FIXTURES = resources.files("quantour") / "fixtures"
 HEX = str(FIXTURES / "hexagon.csv")
@@ -87,17 +87,6 @@ def test_ingest_duplicate_rows_warn(tmp_path):
     assert "identical observations" in warnings[0]
 
 
-def test_apply_jitter():
-    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.1]]))
-    same = apply_jitter(cloud, 0.0, seed=1)
-    assert same is cloud
-    a = apply_jitter(cloud, 1e-5, seed=1)
-    b = apply_jitter(cloud, 1e-5, seed=1)
-    assert np.array_equal(a.points, b.points)
-    assert not np.array_equal(a.points, cloud.points)
-    assert np.abs(a.points - cloud.points).max() <= 1e-4
-
-
 # ---------------------------------------------------------------- exit codes
 
 
@@ -169,6 +158,30 @@ def test_missing_file_exit_1(capsys):
 def test_bad_tau_exit_1(capsys):
     code = main(["quantile", "-i", TRI, "--tau", "1.5", "--u", "0,1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("src", [HEX, COLLINEAR])
+def test_negative_jitter_exit_1(capsys, src):
+    # rejected whether or not the cloud needs healing
+    code = main(["contour", "-i", src, "--tau", "0.305", "--jitter", "-1"])
+    assert code == 1
+    assert "jitter amplitude must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bins", ["1", "-3"])
+def test_regress_bad_bins_exit_1(capsys, tmp_path, bins):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 2.0, 40)
+    path = tmp_path / "r.csv"
+    path.write_text(
+        "x1,y1,y2\n"
+        + "\n".join(f"{a},{b},{c}" for a, b, c in zip(x, *rng.standard_normal((2, 40))))
+        + "\n"
+    )
+    argv = ["regress", "-i", str(path), "--tau", "0.305", "--u", "1,0", "--bins", bins]
+    assert main(argv) == 1
+    assert "need at least 2 bins" in capsys.readouterr().err
+    assert main(argv[:-2]) == 0
 
 
 # ---------------------------------------------------------------- commands

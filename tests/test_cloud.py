@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantour import DegenerateData, PointCloud
+from quantour import DegenerateData, PointCloud, jitter
 from quantour import cloud as cloud_module
 from conftest import make_cloud
 
@@ -23,30 +23,19 @@ LIMITS = (4, 32, 10**9)
 
 def dense_collinear_triples(z, tol=1e-12, limit=32):
     """Dense reference scan: one (n - i)^2 cross-product matrix per anchor i."""
-    n = len(z)
+    m = len(z)
     found = []
-    if n <= cloud_module.COLLINEAR_SCAN_LIMIT:
-        index_pool = np.arange(n)
-    else:
-        rng = np.random.default_rng(0)
-        index_pool = np.sort(
-            rng.choice(n, size=cloud_module.COLLINEAR_SCAN_LIMIT, replace=False)
-        )
-    m = len(index_pool)
-    pts = z[index_pool]
     # scale-aware tolerance on twice the triangle area
-    scale = max(1.0, float(np.abs(pts).max()))
+    scale = max(1.0, float(np.abs(z).max()))
     area_tol = tol * scale * scale
     for ai in range(m - 2):
-        a = pts[ai]
-        d = pts[ai + 1 :] - a
+        a = z[ai]
+        d = z[ai + 1 :] - a
         # cross(d_j, d_l) == 0 <=> triple (a, j, l) collinear
         cross = np.abs(d[:, 0][:, None] * d[:, 1][None, :] - d[:, 1][:, None] * d[:, 0][None, :])
         ji, li = np.nonzero(np.triu(cross <= area_tol, k=1))
         for j, l in zip(ji, li):
-            found.append(
-                (int(index_pool[ai]), int(index_pool[ai + 1 + j]), int(index_pool[ai + 1 + l]))
-            )
+            found.append((ai, ai + 1 + int(j), ai + 1 + int(l)))
             if len(found) >= limit:
                 return found
     return found
@@ -154,13 +143,23 @@ def test_many_batches_match_dense(monkeypatch):
             assert_same_triples(z)
 
 
-def test_sampled_pool_matches_dense(monkeypatch):
-    monkeypatch.setattr(cloud_module, "COLLINEAR_SCAN_LIMIT", 50)
-    rng = RNG(80)
-    lattice = rng.integers(-5, 6, size=(80, 2)) + 1e-3 * np.arange(80)[:, None]
-    for z in (lattice, RNG(81).standard_normal((80, 2)), GRID8[:80]):
-        assert_same_triples(z)
-    assert PointCloud(lattice).collinear_triples(limit=10**9)
+def test_scan_covers_every_row_above_5000():
+    # row 2000 is one of the three rows that a seeded subsample of 5000 of
+    # these 5003 rows (default_rng(0)) leaves out; its triple must be found
+    z = RNG(82).standard_normal((5003, 2))
+    z[2000] = 0.5 * (z[10] + z[4000])
+    assert PointCloud(z).collinear_triples(limit=10**9) == [(10, 2000, 4000)]
+
+
+def test_jitter_is_seeded():
+    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.1]]))
+    a = jitter(cloud, 1e-5, seed=1)
+    b = jitter(cloud, 1e-5, seed=1)
+    assert np.array_equal(a.points, b.points)
+    assert not np.array_equal(a.points, cloud.points)
+    assert np.abs(a.points - cloud.points).max() <= 1e-4
+    with pytest.raises(ValueError):
+        jitter(cloud, 0.0, seed=1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -53,7 +53,7 @@ def test_orthocomplement_is_orthonormal():
         for _ in range(20):
             v = rng.standard_normal(k)
             u = Direction(v)
-            gamma = orthocomplement_basis(u).matrix
+            gamma = orthocomplement_basis(u)
             assert gamma.shape == (k, k - 1)
             assert np.allclose(gamma.T @ gamma, np.eye(k - 1), atol=1e-12)
             assert np.allclose(gamma.T @ u.vector, 0.0, atol=1e-12)
@@ -61,7 +61,7 @@ def test_orthocomplement_is_orthonormal():
 
 def test_orthocomplement_2d_is_rotation():
     u = Direction(np.array([0.0, -1.0]))
-    gamma = orthocomplement_basis(u).matrix
+    gamma = orthocomplement_basis(u)
     # in the plane the complement is the 90 degree rotation, up to sign
     assert np.allclose(np.abs(gamma[:, 0]), [1.0, 0.0], atol=1e-12)
 
@@ -237,3 +237,10 @@ def test_array_input_validation():
     with pytest.raises(DimensionMismatch):
         intersect_halfplanes_2d(np.array([[np.inf, 0.0, 0.0]]))
     assert intersect_halfplanes_2d(np.empty((0, 3))).status == UNBOUNDED
+    # two methods, lazy by default
+    square = np.array(
+        [[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, -1.0]]
+    )
+    assert intersect_halfplanes_2d(square).status == BOUNDED
+    with pytest.raises(ValueError):
+        intersect_halfplanes_2d(square, method="auto")
