@@ -9,6 +9,14 @@ dual-feasible is the intersection of half-circles: a single arc computed
 in closed form.  The sweep therefore either marches arc to arc with
 warm-started pivots (primary) or enumerates every point pair's arc
 (fallback oracle); both must tile the circle exactly.
+
+Each arc's representative hyperplane, taken at the arc midpoint, is
+rebuilt from its basis and certified (orientation, dual box, multiplier
+identity, coverage bound) in blocks of arcs: arrays of arcs x points, with
+one stacked LAPACK solve per block for all the 3 x 3 stationarity systems.
+Per arc, the block performs the floating-point operations of the one-arc
+formulas through the same BLAS and LAPACK kernels, so every emitted bit is
+the one a per-arc computation gives.
 """
 
 from __future__ import annotations
@@ -25,17 +33,17 @@ from .errors import (
     DegenerateDesign,
     DimensionMismatch,
     NoConvergence,
+    SingularSystem,
 )
 from .geometry import (
     OUTSIDE,
     ConvexRegion2D,
     Direction,
     intersect_halfplanes_2d,
-    orthocomplement_basis,
     vector_norm,
 )
 from .qr import QrProblem, check_loss, solve_qr, validate_tau
-from .regression import _design, _location_stationarity_solve
+from .regression import _design
 
 TWO_PI = 2.0 * np.pi
 # endpoint slack allowed when checking that arcs tile the circle
@@ -44,6 +52,9 @@ TILE_TOL = 1e-9
 MIN_ADVANCE = 1e-12
 # arcs thinner than this are treated as empty (ties)
 MIN_WIDTH = 1e-12
+# arcs x points certified together: the block's (arcs, n, 2) temporaries
+# take 1 MB each; blocks of 2**18 elements and more measured slower
+_CERT_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,20 +100,26 @@ def _perp(v):
     return np.array([-v[1], v[0]])
 
 
-def _wrap_pi(x: np.ndarray) -> np.ndarray:
-    """Wrap angles into (-pi, pi]."""
-    y = np.remainder(x + np.pi, TWO_PI) - np.pi
-    return np.where(y == -np.pi, np.pi, y)
+def _complex_rows(z):
+    """Planar points viewed as one complex number each.
+
+    Subtracting or gathering these moves whole rows in one long inner loop
+    with the same bits as the float arrays; a broadcast over the (n, 2)
+    floats runs one two-element inner loop per row instead.
+    """
+    return np.ascontiguousarray(z).view(np.complex128)[:, 0]
 
 
 def _side_pattern(z, i, j, tol_scale):
     """Signed pair-line evaluations; zero for a third collinear point."""
     w = z[j] - z[i]
     npr = _perp(w)
-    proj = (z - z[i]) @ npr
+    zc = _complex_rows(z)
+    # (z - z[i]) @ npr
+    proj = (zc - zc[i]).view(np.float64).reshape(-1, 2) @ npr
     tol = 1e-12 * tol_scale * vector_norm(w)
-    degenerate = np.nonzero(np.abs(proj) <= tol)[0]
-    degenerate = [int(l) for l in degenerate if l not in (i, j)]
+    near = np.flatnonzero(np.abs(proj) <= tol).tolist()
+    degenerate = [l for l in near if l != i and l != j]
     if degenerate:
         raise DegenerateData(
             "three points on a common line", indices=[i, j] + degenerate
@@ -110,90 +127,60 @@ def _side_pattern(z, i, j, tol_scale):
     return npr, proj
 
 
-def _arc_for_basis(z, tau, i, j, s):
+def _arc_for_basis(z, tau, i, j, s, scale):
     """Closed-form validity arc of basis (i, j) with orientation s.
 
     Returns (lo, hi) with 0 < hi - lo <= pi, in an arbitrary 2 pi frame,
     or None when the basis is never optimal with this orientation.  The
     five constraints (orientation sign and the four dual bounds) are all
     of the form q'u >= 0, so the arc is an intersection of half-circles.
+    ``scale`` is the sweep's 1 + max|z|, which sets the collinearity
+    tolerance.
+
+    The four dual-bound vectors are formed in Python floats, term for term
+    as the array formulas would, but their norms and angles stay numpy
+    calls: numpy's dot of two 2-vectors uses a fused multiply-add, and
+    np.arctan2 does not always round like math.atan2.
     """
-    scale = 1.0 + float(np.abs(z).max())
     npr, proj = _side_pattern(z, i, j, scale)
-    sgn = s * proj
-    psi = np.where(sgn > 0, tau, tau - 1.0)
-    psi[[i, j]] = 0.0
+    psi = np.where(proj > 0 if s > 0 else proj < 0, tau, tau - 1.0)
+    psi[i] = psi[j] = 0.0
     s0 = float(psi.sum())
-    s1 = psi @ z
-    a_i = s1 - s0 * z[j]
-    a_j = s0 * z[i] - s1
-    upper, lower = tau * npr, (tau - 1.0) * npr
-    p_i, p_j = _perp(a_i), _perp(a_j)
-    qs = s * np.array([upper - p_i, p_i - lower, upper - p_j, p_j - lower])
-    ref_vec = s * npr
-    ref = float(np.arctan2(ref_vec[1], ref_vec[0]))
+    s10, s11 = (psi @ z).tolist()
+    (zi0, zi1), (zj0, zj1) = z[i].tolist(), z[j].tolist()
+    n0, n1 = npr.tolist()
+    # a_i = s1 - s0 z_j and a_j = s0 z_i - s1, each rotated by +90 degrees
+    ai0, ai1 = s10 - s0 * zj0, s11 - s0 * zj1
+    aj0, aj1 = s0 * zi0 - s10, s0 * zi1 - s11
+    ri0, ri1, rj0, rj1 = -ai1, ai0, -aj1, aj0
+    # the dual bounds tau * npr (upper) and (tau - 1) * npr (lower)
+    up0, up1 = tau * n0, tau * n1
+    lo0, lo1 = (tau - 1.0) * n0, (tau - 1.0) * n1
+    qs = np.array(
+        [
+            [s * (up0 - ri0), s * (up1 - ri1)],
+            [s * (ri0 - lo0), s * (ri1 - lo1)],
+            [s * (up0 - rj0), s * (up1 - rj1)],
+            [s * (rj0 - lo0), s * (rj1 - lo1)],
+        ]
+    )
+    ref = float(np.arctan2(s * n1, s * n0))
     # row norms equal float(np.linalg.norm(q)) bit for bit
     nq = np.sqrt(np.vecdot(qs, qs))
     qscale = float(nq.max()) + vector_norm(npr)
     # a constraint whose q vanishes degenerates to an identity; skip it
     qs = qs[nq > 1e-13 * qscale]
-    dc = _wrap_pi(np.arctan2(qs[:, 1], qs[:, 0]) - ref)
-    lo_rel = float(np.max(dc - 0.5 * np.pi, initial=-0.5 * np.pi))
-    hi_rel = float(np.min(dc + 0.5 * np.pi, initial=0.5 * np.pi))
+    lo_rel, hi_rel = -0.5 * np.pi, 0.5 * np.pi
+    for angle in np.arctan2(qs[:, 1], qs[:, 0]).tolist():
+        # constraint angle relative to ref, wrapped into (-pi, pi]
+        dc = (angle - ref + np.pi) % TWO_PI - np.pi
+        if dc == -np.pi:
+            dc = np.pi
+        lo_rel = max(lo_rel, dc - 0.5 * np.pi)
+        hi_rel = min(hi_rel, dc + 0.5 * np.pi)
     if hi_rel - lo_rel <= MIN_WIDTH:
         return None
     return ref + lo_rel, ref + hi_rel
-
-
-def _hyperplane_at(z, tau, i, j, s, phi) -> QuantileHyperplane:
-    """Representative hyperplane of basis (i, j, s) at direction angle phi.
-
-    Rebuilds (a, b, c), the side counts, and the multiplier from the
-    stationarity system, then verifies the multiplier identity and the
-    coverage bound; any failure is a sweep bug, not a data problem.
-    """
-    n = z.shape[0]
-    u = Direction.from_angle(phi)
-    w = z[j] - z[i]
-    npr = _perp(w)
-    dn = float(npr @ u.vector)
-    if s * dn <= 0.0:
-        raise ArcGap(f"direction {phi:.9f} is outside the basis orientation cone")
-    b = npr / dn
-    a = float(b @ z[i])
-    gamma = orthocomplement_basis(u)
-    c = gamma.T @ (b - u.vector)
-    proj = (z - z[i]) @ npr
-    sgn = s * proj
-    sgn[[i, j]] = 0.0  # exact zeros, not fp noise from the cross product
-    psi = np.where(sgn > 0, tau, tau - 1.0)
-    psi[[i, j]] = 0.0
-    n_below = int(np.count_nonzero(sgn < 0))
-    n_above = n - 2 - n_below
-
-    mult, duals = _location_stationarity_solve(z, u.vector, (i, j), psi)
-    if (duals > tau + 1e-9).any() or (duals < tau - 1.0 - 1e-9).any():
-        raise ArcGap("representative direction is not inside the validity arc")
-    r = z @ b - a
-    objective = float(check_loss(tau, r).sum())
-    if abs(mult - objective) > 1e-7 * (1.0 + abs(objective)):
-        raise NoConvergence(
-            f"multiplier {mult:.12g} disagrees with objective {objective:.12g}"
-        )
-    if not (n_below <= n * tau <= n_below + 2):
-        raise NoConvergence("coverage bound violated by a sweep representative")
-    return QuantileHyperplane(
-        tau=tau,
-        u=u,
-        a=a,
-        b=b,
-        c=c,
-        multiplier=mult,
-        fitted=(int(i), int(j)),
-        duals=duals,
-        n_below=n_below,
-        n_above=n_above,
-    )
 
 
 def _orientation(z, i, j, u_vec) -> int:
@@ -222,10 +209,12 @@ def sweep(cloud: PointCloud, tau: float, method: str = "parametric") -> SweepRes
     if cloud.n < 3:
         raise DimensionMismatch("sweep needs at least 3 points")
     tau = validate_tau(tau, cloud.n)
+    # collinearity tolerance scale of every _arc_for_basis call
+    scale = 1.0 + float(np.abs(cloud.points).max())
     if method == "parametric":
-        raw, pivots = _march_arcs(cloud, tau)
+        raw, pivots = _march_arcs(cloud, tau, scale)
     elif method == "enumerate":
-        raw = _enumerate_arcs(cloud.points, tau)
+        raw = _enumerate_arcs(cloud.points, tau, scale)
         pivots = 0
     else:
         raise ValueError(f"unknown sweep method {method!r}")
@@ -234,7 +223,7 @@ def sweep(cloud: PointCloud, tau: float, method: str = "parametric") -> SweepRes
     return SweepResult(tau=tau, arcs=arcs, n_pivots=pivots, method=method)
 
 
-def _march_arcs(cloud: PointCloud, tau: float):
+def _march_arcs(cloud: PointCloud, tau: float, scale: float):
     """Parametric traversal; returns ([(lo, hi, i, j, s)], pivots)."""
     z = cloud.points
     n = z.shape[0]
@@ -252,7 +241,7 @@ def _march_arcs(cloud: PointCloud, tau: float):
 
     sol, key = solve_at(0.0, None)
     pivots = sol.pivots
-    arc = _arc_for_basis(z, tau, *key)
+    arc = _arc_for_basis(z, tau, *key, scale)
     if arc is None:
         raise ArcGap("initial basis has an empty validity arc")
     lo0, hi0 = _align(*arc, anchor=0.0)
@@ -275,7 +264,7 @@ def _march_arcs(cloud: PointCloud, tau: float):
             if advance > 0.5:
                 raise ArcGap(f"sweep stalled near angle {cursor:.9f}")
             continue
-        arc = _arc_for_basis(z, tau, *key)
+        arc = _arc_for_basis(z, tau, *key, scale)
         if arc is None:
             raise ArcGap(f"optimal basis at angle {phi:.9f} reports an empty arc")
         lo, hi = _align(*arc, anchor=phi)
@@ -294,14 +283,14 @@ def _march_arcs(cloud: PointCloud, tau: float):
     return records, pivots
 
 
-def _enumerate_arcs(z, tau):
+def _enumerate_arcs(z, tau, scale):
     """Oracle: nonempty validity arcs over all pairs and orientations."""
     n = z.shape[0]
     records = []
     for i in range(n - 1):
         for j in range(i + 1, n):
             for s in (1, -1):
-                arc = _arc_for_basis(z, tau, i, j, s)
+                arc = _arc_for_basis(z, tau, i, j, s, scale)
                 if arc is None:
                     continue
                 lo, hi = arc
@@ -345,12 +334,125 @@ def _finalize(z, tau, raw):
     if len(set(keys)) != len(keys):
         raise ArcGap("a fitted pair + orientation occurs in two disjoint arcs")
 
+    per_block = max(1, _CERT_BLOCK_ELEMENTS // z.shape[0])
     arcs = []
-    for start, end, i, j, s in norm:
-        mid = np.remainder(0.5 * (start + end), TWO_PI)
-        h = _hyperplane_at(z, tau, i, j, s, float(mid))
-        arcs.append(SweepArc(start=start, end=end, hyperplane=h, orientation=s))
+    for begin in range(0, len(norm), per_block):
+        arcs.extend(_certify_block(z, tau, norm[begin : begin + per_block]))
     return tuple(arcs)
+
+
+def _certify_block(z, tau, recs):
+    """Certified representative hyperplanes of a run of normalized records.
+
+    Each record (start, end, i, j, s) gets the hyperplane of basis (i, j)
+    with orientation s at its arc midpoint: (a, b, c), the side counts,
+    and the multiplier and fitted duals of the stationarity system.  Every
+    arc then passes, in this order, the orientation cone, the dual box,
+    the multiplier identity and the coverage bound; any failure is a sweep
+    bug, not a data problem, and the first failing arc in angular order
+    raises.  Each array step is the scalar formula of one arc applied to a
+    block: the same elementwise operations, and per arc the same ddot,
+    gemv, pairwise sum and LAPACK gesv, so every bit matches a one-arc
+    computation.
+    """
+    n, m = z.shape[0], len(recs)
+    start, end, fi, fj, s = (np.array(col) for col in zip(*recs))
+    phi = np.remainder(0.5 * (start + end), TWO_PI)
+    dirs = [Direction.from_angle(p) for p in phi.tolist()]
+    u = np.array([d.vector for d in dirs])
+    zi = z[fi]
+    w = z[fj] - zi
+    npr = np.column_stack([-w[:, 1], w[:, 0]])
+    dn = np.vecdot(npr, u)
+    outside = s * dn <= 0.0
+    if outside.any():
+        k = int(outside.argmax())
+        if k:
+            _certify_block(z, tau, recs[:k])
+        raise ArcGap(f"direction {phi[k]:.9f} is outside the basis orientation cone")
+    b = npr / dn[:, None]
+    a = np.vecdot(b, zi)
+    c = np.vecdot(_complement_rows(u), b - u)
+
+    # side signs of the n - 2 points off each arc's pair; the (arcs, n, 2)
+    # arrays are C-contiguous, so each arc's product is the one-arc gemv
+    zc = _complex_rows(z)
+    rows = np.arange(m)
+    off = np.ones((m, n), dtype=bool)
+    off[rows, fi] = False
+    off[rows, fj] = False
+    d = (zc - zc[fi, None]).view(np.float64).reshape(m, n, 2)
+    # d @ (s npr) is s (d @ npr) up to the sign of a zero
+    sgn = (d @ (s[:, None] * npr)[:, :, None])[..., 0][off].reshape(m, n - 2)
+    psi = np.where(sgn > 0, tau, tau - 1.0)
+    n_below = np.count_nonzero(sgn < 0, axis=1)
+    z_off = np.broadcast_to(zc, (m, n))[off].view(np.float64).reshape(m, n - 2, 2)
+    s0 = psi.sum(axis=1)
+    s1 = (z_off.transpose(0, 2, 1) @ psi[:, :, None])[..., 0]
+
+    # stationarity: sum of fitted duals = -s0, lam u - dual-weighted z = s1
+    M = np.zeros((m, 3, 3))
+    M[:, 0, 1:] = 1.0
+    M[:, 1:, 0] = -u
+    M[:, 1:, 1] = zi
+    M[:, 1:, 2] = z[fj]
+    rhs = np.column_stack([-s0, -s1])
+    try:
+        sol = np.linalg.solve(M, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # split until the singular arc stands alone; earlier arcs go first
+        if m == 1:
+            raise SingularSystem("stationarity system is singular")
+        half = m // 2
+        return _certify_block(z, tau, recs[:half]) + _certify_block(z, tau, recs[half:])
+    mult, duals = sol[:, 0], sol[:, 1:]
+
+    r = (z @ b[:, :, None])[..., 0]
+    r -= a[:, None]
+    objective = check_loss(tau, r).sum(axis=1)
+    dual_bad = ((duals > tau + 1e-9) | (duals < tau - 1.0 - 1e-9)).any(axis=1)
+    mult_bad = np.abs(mult - objective) > 1e-7 * (1.0 + np.abs(objective))
+    cover_bad = ~((n_below <= n * tau) & (n * tau <= n_below + 2))
+    failed = dual_bad | mult_bad | cover_bad
+    if failed.any():
+        k = int(failed.argmax())
+        if dual_bad[k]:
+            raise ArcGap("representative direction is not inside the validity arc")
+        if mult_bad[k]:
+            raise NoConvergence(
+                f"multiplier {mult[k]:.12g} disagrees with objective {objective[k]:.12g}"
+            )
+        raise NoConvergence("coverage bound violated by a sweep representative")
+
+    arcs = []
+    for k, (lo, hi, i, j, orient) in enumerate(recs):
+        below = int(n_below[k])
+        h = QuantileHyperplane(
+            tau=tau,
+            u=dirs[k],
+            a=float(a[k]),
+            b=b[k],
+            c=c[k, None],
+            multiplier=float(mult[k]),
+            fitted=(i, j),
+            duals=duals[k],
+            n_below=below,
+            n_above=n - 2 - below,
+        )
+        arcs.append(SweepArc(start=lo, end=hi, hyperplane=h, orientation=orient))
+    return arcs
+
+
+def _complement_rows(u):
+    """orthocomplement_basis of each planar unit row of u, as rows.
+
+    The same Gram-Schmidt step in array form: the standard basis vector
+    off the first largest |u_j|, minus its projection on u, normalized.
+    """
+    e = np.zeros_like(u)
+    e[np.arange(u.shape[0]), 1 - np.abs(u).argmax(axis=1)] = 1.0
+    v = e - np.vecdot(e, u)[:, None] * u
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
 
 
 def fixed_tau_region(result: SweepResult) -> ConvexRegion2D:

@@ -54,6 +54,8 @@ def depth_2d(cloud: PointCloud, x) -> DepthValue:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != 2:
         raise DimensionMismatch("depth_2d expects a planar point")
+    if not np.isfinite(x).all():
+        raise DimensionMismatch("depth_2d expects a finite point")
     d = cloud.points - x
     scale = 1.0 + float(np.abs(cloud.points).max())
     r = np.hypot(d[:, 0], d[:, 1])

@@ -191,7 +191,7 @@ def multiplier_scan(cloud: PointCloud, tau: float, directions, flag_c: float = 3
     Directions pointing away from an outlying mass produce large
     multipliers, so the flagged entries localize outliers by angle.  Any
     per-direction error propagates with the direction recorded in its
-    notes.
+    notes; no direction at all raises ValueError.
     """
     entries = []
     for idx, d in enumerate(directions):
@@ -205,9 +205,11 @@ def multiplier_scan(cloud: PointCloud, tau: float, directions, flag_c: float = 3
                 exc.add_note(note)
             raise
         entries.append((float(label), h.multiplier))
+    if not entries:
+        raise ValueError("multiplier scan needs at least one direction")
     values = np.array([v for _, v in entries])
-    med = float(np.median(values)) if values.size else 0.0
-    mad = float(np.median(np.abs(values - med))) if values.size else 0.0
+    med = float(np.median(values))
+    mad = float(np.median(np.abs(values - med)))
     if values.size >= 2:
         flagged = tuple(i for i, (_, v) in enumerate(entries) if v > med + flag_c * mad)
     else:

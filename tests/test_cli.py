@@ -220,6 +220,12 @@ def test_depth_needs_x_or_tau(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("x", ["nan,0", "inf,0", "0,-inf"])
+def test_depth_non_finite_point_exit_1(capsys, x):
+    assert main(["depth", "-i", HEX, f"--x={x}"]) == 1
+    assert "finite point" in capsys.readouterr().err
+
+
 def test_km_contains_exact(capsys):
     code = main(["km", "-i", HEX, "--tau", "0.25", "--K", "21"])
     assert code == 0
@@ -242,6 +248,13 @@ def test_scan_flags_direction(capsys, tmp_path):
     entries = payload["result"]["entries"]
     top = max(entries, key=lambda e: e["multiplier"])
     assert abs(top["label"] - (-np.pi / 2.0)) <= 0.5
+
+
+@pytest.mark.parametrize("K", ["0", "-3"])
+def test_scan_without_directions_exit_1(capsys, K):
+    assert main(["scan", "-i", HEX, "--tau", "0.25", f"--K={K}"]) == 1
+    assert "at least one direction" in capsys.readouterr().err
+    assert main(["scan", "-i", HEX, "--tau", "0.25", "--K", "1"]) == 0
 
 
 def test_regress_with_cut_and_coverage(capsys, tmp_path):

@@ -3,19 +3,29 @@
 import numpy as np
 import pytest
 
+import quantour.contour as contour_module
 from quantour import (
     BOUNDED,
     EMPTY,
+    ArcGap,
     DegenerateData,
     DegenerateTau,
     DimensionMismatch,
+    NoConvergence,
     PointCloud,
+    QuantourError,
+    SingularSystem,
     depth_region_bruteforce_2d,
     fixed_tau_region,
     hausdorff_distance,
     probability_contents,
     sweep,
 )
+from quantour.contour import MIN_WIDTH, SweepResult, _perp
+from quantour.directional import QuantileHyperplane
+from quantour.geometry import Direction, orthocomplement_basis, vector_norm
+from quantour.qr import check_loss
+from quantour.regression import _location_stationarity_solve
 from conftest import SQRT3, make_cloud
 
 RNG = np.random.default_rng
@@ -272,3 +282,300 @@ def test_sweep_determinism():
     assert len(a.arcs) == len(b.arcs)
     for x, y in zip(a.arcs, b.arcs):
         assert x.start == y.start and x.end == y.end and x.fitted == y.fitted
+
+
+# ------------------------------------ the former per-arc routines, verbatim
+# The sweep builds its arcs with a Python-float tail per key and certifies
+# them in array blocks.  These one-arc routines are the formulas that both
+# replace, kept as they were so every emitted bit can be compared.
+
+def reference_wrap_pi(x: np.ndarray) -> np.ndarray:
+    """Wrap angles into (-pi, pi]."""
+    y = np.remainder(x + np.pi, TWO_PI) - np.pi
+    return np.where(y == -np.pi, np.pi, y)
+
+
+def reference_side_pattern(z, i, j, tol_scale):
+    """Signed pair-line evaluations; zero for a third collinear point."""
+    w = z[j] - z[i]
+    npr = _perp(w)
+    proj = (z - z[i]) @ npr
+    tol = 1e-12 * tol_scale * vector_norm(w)
+    degenerate = np.nonzero(np.abs(proj) <= tol)[0]
+    degenerate = [int(l) for l in degenerate if l not in (i, j)]
+    if degenerate:
+        raise DegenerateData(
+            "three points on a common line", indices=[i, j] + degenerate
+        )
+    return npr, proj
+
+
+def reference_arc_for_basis(z, tau, i, j, s):
+    """Closed-form validity arc of basis (i, j) with orientation s.
+
+    Returns (lo, hi) with 0 < hi - lo <= pi, in an arbitrary 2 pi frame,
+    or None when the basis is never optimal with this orientation.  The
+    five constraints (orientation sign and the four dual bounds) are all
+    of the form q'u >= 0, so the arc is an intersection of half-circles.
+    """
+    scale = 1.0 + float(np.abs(z).max())
+    npr, proj = reference_side_pattern(z, i, j, scale)
+    sgn = s * proj
+    psi = np.where(sgn > 0, tau, tau - 1.0)
+    psi[[i, j]] = 0.0
+    s0 = float(psi.sum())
+    s1 = psi @ z
+    a_i = s1 - s0 * z[j]
+    a_j = s0 * z[i] - s1
+    upper, lower = tau * npr, (tau - 1.0) * npr
+    p_i, p_j = _perp(a_i), _perp(a_j)
+    qs = s * np.array([upper - p_i, p_i - lower, upper - p_j, p_j - lower])
+    ref_vec = s * npr
+    ref = float(np.arctan2(ref_vec[1], ref_vec[0]))
+    # row norms equal float(np.linalg.norm(q)) bit for bit
+    nq = np.sqrt(np.vecdot(qs, qs))
+    qscale = float(nq.max()) + vector_norm(npr)
+    # a constraint whose q vanishes degenerates to an identity; skip it
+    qs = qs[nq > 1e-13 * qscale]
+    dc = reference_wrap_pi(np.arctan2(qs[:, 1], qs[:, 0]) - ref)
+    lo_rel = float(np.max(dc - 0.5 * np.pi, initial=-0.5 * np.pi))
+    hi_rel = float(np.min(dc + 0.5 * np.pi, initial=0.5 * np.pi))
+    if hi_rel - lo_rel <= MIN_WIDTH:
+        return None
+    return ref + lo_rel, ref + hi_rel
+
+
+def reference_hyperplane_at(z, tau, i, j, s, phi) -> QuantileHyperplane:
+    """Representative hyperplane of basis (i, j, s) at direction angle phi.
+
+    Rebuilds (a, b, c), the side counts, and the multiplier from the
+    stationarity system, then verifies the multiplier identity and the
+    coverage bound; any failure is a sweep bug, not a data problem.
+    """
+    n = z.shape[0]
+    u = Direction.from_angle(phi)
+    w = z[j] - z[i]
+    npr = _perp(w)
+    dn = float(npr @ u.vector)
+    if s * dn <= 0.0:
+        raise ArcGap(f"direction {phi:.9f} is outside the basis orientation cone")
+    b = npr / dn
+    a = float(b @ z[i])
+    gamma = orthocomplement_basis(u)
+    c = gamma.T @ (b - u.vector)
+    proj = (z - z[i]) @ npr
+    sgn = s * proj
+    sgn[[i, j]] = 0.0  # exact zeros, not fp noise from the cross product
+    psi = np.where(sgn > 0, tau, tau - 1.0)
+    psi[[i, j]] = 0.0
+    n_below = int(np.count_nonzero(sgn < 0))
+    n_above = n - 2 - n_below
+
+    mult, duals = _location_stationarity_solve(z, u.vector, (i, j), psi)
+    if (duals > tau + 1e-9).any() or (duals < tau - 1.0 - 1e-9).any():
+        raise ArcGap("representative direction is not inside the validity arc")
+    r = z @ b - a
+    objective = float(check_loss(tau, r).sum())
+    if abs(mult - objective) > 1e-7 * (1.0 + abs(objective)):
+        raise NoConvergence(
+            f"multiplier {mult:.12g} disagrees with objective {objective:.12g}"
+        )
+    if not (n_below <= n * tau <= n_below + 2):
+        raise NoConvergence("coverage bound violated by a sweep representative")
+    return QuantileHyperplane(
+        tau=tau,
+        u=u,
+        a=a,
+        b=b,
+        c=c,
+        multiplier=mult,
+        fitted=(int(i), int(j)),
+        duals=duals,
+        n_below=n_below,
+        n_above=n_above,
+    )
+
+
+def reference_finalize_arcs(z, tau, raw):
+    """The one-call-per-arc loop over _finalize's normalized records."""
+    arcs = []
+    for start, end, i, j, s in raw:
+        mid = np.remainder(0.5 * (start + end), TWO_PI)
+        h = reference_hyperplane_at(z, tau, i, j, s, float(mid))
+        arcs.append((start, end, s, h))
+    return arcs
+
+
+def same_bits(x, y):
+    """Equal shapes and bytes: unlike ==, tells -0.0 from 0.0."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_same_hyperplane(got, want):
+    assert got.tau == want.tau
+    for name in ("a", "b", "c", "multiplier", "duals"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert same_bits(got.u.vector, want.u.vector)
+    assert got.fitted == want.fitted
+    assert (got.n_below, got.n_above) == (want.n_below, want.n_above)
+
+
+def assert_matches_reference(cloud, result):
+    z = cloud.points
+    raw = [(a.start, a.end, *a.fitted, a.orientation) for a in result.arcs]
+    want = reference_finalize_arcs(z, result.tau, raw)
+    assert len(want) == len(result.arcs)
+    for arc, (start, end, s, h) in zip(result.arcs, want):
+        assert same_bits((arc.start, arc.end), (start, end)) and arc.orientation == s
+        assert_same_hyperplane(arc.hyperplane, h)
+
+
+def normalized(raw):
+    """_finalize's normalization: starts into [0, 2 pi), widths kept, sorted."""
+    norm = []
+    for lo, hi, i, j, s in raw:
+        start = float(np.remainder(lo, TWO_PI))
+        norm.append((start, start + (hi - lo), i, j, s))
+    return sorted(norm, key=lambda rec: rec[0])
+
+
+def first_reference_error(z, tau, raw):
+    try:
+        reference_finalize_arcs(z, tau, normalized(raw))
+    except QuantourError as exc:
+        return exc
+    raise AssertionError("the reference loop certified every record")
+
+
+SWEEP_CASES = [
+    (3, 1e-3, 0.34, 80),
+    (4, 1.0, 0.34, 81),
+    (9, 1e6, 0.178, 82),
+    (40, 1e-3, 0.101, 83),
+    (120, 1e3, 0.305, 84),
+    (700, 1.0, 0.1785, 85),
+    (2000, 1e6, 0.0508, 86),
+]
+
+
+@pytest.mark.parametrize("n, scale, tau, seed", SWEEP_CASES)
+def test_block_certification_matches_per_arc_loop(n, scale, tau, seed):
+    cloud = make_cloud(seed, n, scale=scale)
+    assert_matches_reference(cloud, sweep(cloud, tau))
+    if n <= 120:
+        assert_matches_reference(cloud, sweep(cloud, tau, method="enumerate"))
+
+
+def test_block_certification_matches_on_hexagon_and_small_blocks(hexagon, monkeypatch):
+    for method in ("parametric", "enumerate"):
+        assert_matches_reference(hexagon, sweep(hexagon, 0.25, method=method))
+    # blocks of 1, 3 and 7 arcs, so records straddle block boundaries
+    cloud = make_cloud(87, 35)
+    for per_block in (1, 3, 7):
+        monkeypatch.setattr(contour_module, "_CERT_BLOCK_ELEMENTS", per_block * cloud.n)
+        assert_matches_reference(cloud, sweep(cloud, 0.178))
+
+
+def test_wrap_merged_arc_matches_per_arc_loop():
+    cloud = make_cloud(88, 50)
+    tau = 0.178
+    result = sweep(cloud, tau)
+    raw = [(a.start, a.end, *a.fitted, a.orientation) for a in result.arcs]
+    k = next(k for k, rec in enumerate(raw) if rec[1] > TWO_PI)
+    start, end, *key = raw[k]
+    # the arc through zero, split at zero: _finalize merges the halves
+    split = raw[:k] + raw[k + 1 :] + [(start, TWO_PI, *key), (0.0, end - TWO_PI, *key)]
+    arcs = contour_module._finalize(cloud.points, tau, split)
+    assert len(arcs) == len(raw)
+    merged = [a for a in arcs if a.end > TWO_PI]
+    assert len(merged) == 1 and merged[0].fitted == tuple(key[:2])
+    assert_matches_reference(cloud, SweepResult(tau, arcs, 0, "parametric"))
+
+
+def test_block_certification_error_parity(monkeypatch):
+    cloud = make_cloud(89, 30)
+    z, tau = cloud.points, 0.178
+    result = sweep(cloud, tau)
+    raw = [(a.start, a.end, *a.fitted, a.orientation) for a in result.arcs]
+    monkeypatch.setattr(contour_module, "_CERT_BLOCK_ELEMENTS", 4 * cloud.n)
+
+    def check(records):
+        want = first_reference_error(z, tau, records)
+        with pytest.raises(type(want)) as err:
+            contour_module._finalize(z, tau, records)
+        assert str(err.value) == str(want)
+        return want
+
+    # a flipped orientation leaves the direction outside the cone
+    flipped = list(raw)
+    flipped[6] = (*raw[6][:4], -raw[6][4])
+    want = check(flipped)
+    assert isinstance(want, ArcGap) and "orientation cone" in str(want)
+    # swapped neighbours keep the tiling but not the validity arcs
+    monkeypatch.setattr(contour_module, "_CERT_BLOCK_ELEMENTS", 1 << 17)
+    for k in range(len(raw) - 4):
+        swapped = list(raw)
+        swapped[k], swapped[k + 1] = (*raw[k][:2], *raw[k + 1][2:]), (*raw[k + 1][:2], *raw[k][2:])
+        want = check(swapped)
+        if "validity arc" in str(want):
+            break
+    else:
+        raise AssertionError("no swap of neighbours leaves the dual box")
+    # in the same block, a later cone failure does not preempt it
+    swapped[k + 3] = (*raw[k + 3][:4], -raw[k + 3][4])
+    assert str(check(swapped)) == str(want)
+
+    monkeypatch.setattr(contour_module, "_CERT_BLOCK_ELEMENTS", 4 * cloud.n)
+    # a singular stationarity system at arc 10, seen by both routes
+    real_solve = np.linalg.solve
+    start, end, i, j, _ = normalized(raw)[10]
+    u = Direction.from_angle(float(np.remainder(0.5 * (start + end), TWO_PI))).vector
+    singular = np.array([[0.0, 1.0, 1.0], [-u[0], *z[[i, j], 0]], [-u[1], *z[[i, j], 1]]])
+
+    def solve(a, b):
+        if (np.asarray(a).reshape(-1, 3, 3) == singular).all(axis=(1, 2)).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    want = check(raw)
+    assert isinstance(want, SingularSystem)
+    # a failure earlier in the singular arc's block still comes first
+    swapped = list(raw)
+    swapped[8], swapped[9] = (*raw[8][:2], *raw[9][2:]), (*raw[9][:2], *raw[8][2:])
+    assert isinstance(check(swapped), ArcGap)
+
+
+def test_finalize_solves_once_per_block(monkeypatch):
+    cloud = make_cloud(90, 400)
+    z, tau = cloud.points, 0.178
+    result = sweep(cloud, tau)
+    raw = [(a.start, a.end, *a.fitted, a.orientation) for a in result.arcs]
+    per_block = max(1, contour_module._CERT_BLOCK_ELEMENTS // cloud.n)
+    blocks = -(-len(raw) // per_block)
+    assert len(raw) > per_block  # more than one block
+    calls = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(np.shape(a))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    arcs = contour_module._finalize(z, tau, raw)
+    assert len(arcs) == len(raw)
+    assert len(calls) <= blocks
+
+
+def test_arc_for_basis_matches_reference():
+    rng = RNG(91)
+    for n, scale in ((12, 1e-3), (80, 1.0), (300, 1e5)):
+        z = make_cloud(int(rng.integers(1, 1 << 30)), n, scale=scale).points
+        scale_z = 1.0 + float(np.abs(z).max())
+        for _ in range(700):
+            i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+            s = int(rng.choice([1, -1]))
+            tau = float(rng.uniform(0.02, 0.98))
+            got = contour_module._arc_for_basis(z, tau, i, j, s, scale_z)
+            assert got == reference_arc_for_basis(z, tau, i, j, s)
