@@ -31,7 +31,6 @@ from .geometry import (
     UNBOUNDED,
     ConvexRegion2D,
     Direction,
-    Hyperplane,
     hausdorff_distance,
     intersect_halfplanes_2d,
     orthocomplement_basis,

@@ -163,11 +163,8 @@ def region_payload(region: ConvexRegion2D) -> dict:
     """JSON-ready region: status, vertices, generating halfplanes, area."""
     payload = {
         "status": region.status,
-        "vertices": [[float(v[0]), float(v[1])] for v in region.vertices],
-        "halfplanes": [
-            {"b": [float(h.normal[0]), float(h.normal[1])], "a": float(h.offset)}
-            for h in region.halfplanes
-        ],
+        "vertices": region.vertices.tolist(),
+        "halfplanes": [{"b": [b1, b2], "a": a} for b1, b2, a in region.halfplanes.tolist()],
     }
     payload["area"] = region.area() if region.status == BOUNDED else None
     return payload

@@ -38,13 +38,15 @@ class PointCloud:
     Parameters
     ----------
     points : array_like, shape (n, k)
-        One row per observation.  The array is copied and frozen.
+        One row per observation.  The array is copied in C order and
+        frozen.
     """
 
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = np.array(points, dtype=float)
+        # other layouts would round the solvers' BLAS products differently
+        pts = np.array(points, dtype=float, order="C")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
@@ -110,7 +112,8 @@ class PointCloud:
 
         A triple counts as collinear when, with d = z[j] - z[i] and
         e = z[l] - z[i], |d_1 e_2 - d_2 e_1| <= tol * scale**2, where scale is
-        max(1, max |z|).  Triples come by ascending i, then ascending (j, l),
+        max |z|, so scaling the cloud by a power of two leaves the triples
+        unchanged.  Triples come by ascending i, then ascending (j, l),
         and the scan stops after ``limit`` of them; ``limit`` < 1 raises
         ValueError.
 
@@ -123,7 +126,7 @@ class PointCloud:
             return []
         pts = self.points
         # scale-aware tolerance on twice the triangle area
-        scale = max(1.0, float(np.abs(pts).max()))
+        scale = float(np.abs(pts).max())
         area_tol = tol * scale * scale
         hits = _collinear_hits(pts, area_tol, limit)
         return [tuple(t) for t in hits.tolist()]

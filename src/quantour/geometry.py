@@ -1,11 +1,12 @@
-"""Directions, hyperplanes, and exact planar halfplane intersection.
+"""Directions and exact planar halfplane intersection.
 
 Conventions
 -----------
-A ``Hyperplane`` stores the equation ``normal' x = offset``.  Wherever a
-halfplane is meant, it is the closed upper side ``normal' x >= offset``.
-Region vertices are counterclockwise.  All residual tests use the module
-tolerance GEOM_TOL unless a caller passes something else.
+A halfplane is a row (b_1, b_2, a) of a float array and stands for the
+closed upper side b'x >= a.  Rows need not have unit b; the intersection
+divides b and a by |b| and reports unit rows.  Region vertices are
+counterclockwise.  All residual tests use the module tolerance GEOM_TOL
+unless a caller passes something else.
 """
 
 from __future__ import annotations
@@ -90,36 +91,6 @@ class Direction:
         return f"Direction({np.array2string(self.vector, precision=6)})"
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Affine hyperplane {x : normal' x = offset}."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = np.array(self.normal, dtype=float).ravel()
-        if n.size == 0 or not np.all(np.isfinite(n)) or np.linalg.norm(n) == 0.0:
-            raise DimensionMismatch("hyperplane normal must be finite and nonzero")
-        n.setflags(write=False)
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @property
-    def k(self) -> int:
-        return self.normal.shape[0]
-
-    def residual(self, points) -> np.ndarray:
-        """Signed residuals normal' x - offset, vectorized over rows."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.normal - self.offset
-
-    def unit(self) -> "Hyperplane":
-        """Same hyperplane with unit normal (offset rescaled to match)."""
-        norm = float(np.linalg.norm(self.normal))
-        return Hyperplane(self.normal / norm, self.offset / norm)
-
-
 def orthocomplement_basis(u: Direction) -> np.ndarray:
     """Canonical orthonormal basis of the complement of ``u``.
 
@@ -168,32 +139,36 @@ class ConvexRegion2D:
 
     vertices : (m, 2) counterclockwise array; empty for empty or unbounded
         regions.
-    halfplanes : generating constraints ``normal' x >= offset``.  For a
-        bounded intersection these are exactly the facets (redundant
-        members removed); for other statuses the deduplicated inputs.
+    halfplanes : (f, 3) array of generating rows (b_1, b_2, a), each the
+        halfplane b'x >= a with unit b.  For a bounded intersection these
+        are exactly the facets (redundant members removed); for other
+        statuses the deduplicated inputs.
     status : one of BOUNDED, UNBOUNDED, EMPTY.
+
+    Both arrays are read-only copies.
     """
 
     vertices: np.ndarray
-    halfplanes: tuple
+    halfplanes: np.ndarray
     status: str
 
     def __post_init__(self):
-        v = np.array(self.vertices, dtype=float).reshape(-1, 2)
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "halfplanes", tuple(self.halfplanes))
+        for name, width in (("vertices", 2), ("halfplanes", 3)):
+            a = np.array(getattr(self, name), dtype=float).reshape(-1, width)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @classmethod
-    def empty(cls, halfplanes=()) -> "ConvexRegion2D":
-        return cls(np.empty((0, 2)), tuple(halfplanes), EMPTY)
+    def empty(cls) -> "ConvexRegion2D":
+        return cls(np.empty((0, 2)), (), EMPTY)
 
     @classmethod
     def from_vertices(cls, vertices) -> "ConvexRegion2D":
         """Bounded region from its vertex list (either orientation).
 
         Requires at least 3 distinct vertices of a convex polygon; the
-        stored copy is counterclockwise.
+        stored copy is counterclockwise.  Each edge of nonzero length gives
+        the row of the halfplane on its left.
         """
         v = np.array(vertices, dtype=float).reshape(-1, 2)
         if v.shape[0] < 3:
@@ -209,14 +184,11 @@ class ConvexRegion2D:
         scale = float(np.abs(v).max()) + 1.0
         if np.any(cross < -GEOM_TOL * scale * scale):
             raise DimensionMismatch("vertices do not describe a convex polygon")
-        planes = []
-        for p, d in zip(v, edges):
-            n = np.array([-d[1], d[0]])
-            norm = float(np.linalg.norm(n))
-            if norm <= UNIT_TOL * scale:
-                continue
-            planes.append(Hyperplane(n / norm, float(n @ p) / norm))
-        return cls(v, tuple(planes), BOUNDED)
+        N = np.column_stack([-edges[:, 1], edges[:, 0]])
+        norms = np.sqrt(np.vecdot(N, N))
+        keep = norms > UNIT_TOL * scale
+        H = np.column_stack([N, np.vecdot(N, v)])[keep] / norms[keep, None]
+        return cls(v, H, BOUNDED)
 
     def area(self) -> float:
         if self.status == EMPTY:
@@ -236,12 +208,11 @@ class ConvexRegion2D:
             raise DimensionMismatch("expected an array of planar points")
         if self.status == EMPTY:
             return [OUTSIDE] * pts.shape[0]
-        if not self.halfplanes:
+        H = self.halfplanes
+        if H.shape[0] == 0:
             # whole plane
             return [INSIDE] * pts.shape[0]
-        B = np.array([h.normal for h in self.halfplanes])
-        A = np.array([h.offset for h in self.halfplanes])
-        res = pts @ B.T - A
+        res = pts @ H[:, :2].T - H[:, 2]
         worst = res.min(axis=1)
         return [
             OUTSIDE if w < -tol else (BOUNDARY if w <= tol else INSIDE) for w in worst
@@ -340,16 +311,12 @@ def _dedupe_ring(V: np.ndarray, tol: float) -> np.ndarray:
 
 
 def intersect_halfplanes_2d(halfplanes, method: str = "lazy") -> ConvexRegion2D:
-    """Intersection of closed halfplanes {x : normal' x >= offset}.
+    """Intersection of closed halfplanes {x : b'x >= a}.
 
     Parameters
     ----------
-    halfplanes : sequence of Hyperplane, or (m, 3) array
-        Planar constraints; normals need not be unit.  An array row
-        (b_1, b_2, a) stands for the halfplane b'x >= a, so callers that
-        hold their constraints as arrays build no Hyperplane objects.
-        Both forms reach the same array routine and give identical
-        results for identical floats.
+    halfplanes : (m, 3) array
+        One row (b_1, b_2, a) per halfplane b'x >= a; b need not be unit.
     method : {"lazy", "eager"}
         "lazy" (the default) repeatedly clips a bounding box by the
         currently most violated constraint and permanently drops satisfied
@@ -364,83 +331,58 @@ def intersect_halfplanes_2d(halfplanes, method: str = "lazy") -> ConvexRegion2D:
         For a bounded result, ``halfplanes`` holds exactly the facets and
         every vertex lies on two of them (within GEOM_TOL) while
         satisfying all inputs.  Lower-dimensional intersections (points,
-        segments) are reported as EMPTY.  Inputs are unit-normalised in
-        one vectorised step, with the same floats as Hyperplane.unit()
-        but without calling it per input; the deduplicated inputs become
-        Hyperplane objects only when the result is EMPTY or UNBOUNDED,
-        the only statuses that report them.
+        segments) are reported as EMPTY.  Every row is divided by |b| in
+        one vectorised step, and the reported rows are such unit rows.
 
     Raises
     ------
     DimensionMismatch
-        Non-planar constraints, or an array row with a zero or
-        non-finite normal.
+        Input not of shape (m, 3), or a row with a zero or non-finite b.
     SingularSystem
         If the numerical clipping cannot certify its result.
     """
-    if isinstance(halfplanes, np.ndarray):
-        H = np.asarray(halfplanes, dtype=float)
-        if H.ndim != 2 or H.shape[1] != 3:
-            raise DimensionMismatch("halfplane arrays must have shape (m, 3)")
-        B, A = np.array(H[:, :2]), np.array(H[:, 2])
-    else:
-        planes = list(halfplanes)
-        if any(h.k != 2 for h in planes):
-            raise DimensionMismatch("intersect_halfplanes_2d expects planar halfplanes")
-        B = np.array([h.normal for h in planes]).reshape(-1, 2)
-        A = np.array([h.offset for h in planes])
-    return _intersect(B, A, method)
-
-
-def _hyperplanes(B: np.ndarray, A: np.ndarray) -> tuple:
-    return tuple(Hyperplane(b, a) for b, a in zip(B, A))
-
-
-def _intersect(B: np.ndarray, A: np.ndarray, method: str) -> ConvexRegion2D:
-    """intersect_halfplanes_2d over raw normals B (m, 2) and offsets A (m,)."""
-    if A.shape[0] == 0:
-        return ConvexRegion2D(np.empty((0, 2)), (), UNBOUNDED)
+    H = np.asarray(halfplanes, dtype=float)
+    if H.ndim != 2 or H.shape[1] != 3:
+        raise DimensionMismatch("halfplane arrays must have shape (m, 3)")
+    if H.shape[0] == 0:
+        return ConvexRegion2D(np.empty((0, 2)), H, UNBOUNDED)
     if method not in ("lazy", "eager"):
         raise ValueError(f"unknown method {method!r}")
 
-    # bit for bit Hyperplane.unit()'s norm; np.linalg.norm(B, axis=1) rounds differently
+    # bit for bit float(np.linalg.norm(b)) per row; np.linalg.norm(B, axis=1) rounds differently
+    B = H[:, :2]
     norms = np.sqrt(np.vecdot(B, B))
     if not ((norms > 0.0) & (norms < np.inf)).all():
         raise DimensionMismatch("hyperplane normal must be finite and nonzero")
-    B, A, angles = _dedupe_directions(B / norms[:, None], A / norms)
+    B, A, angles = _dedupe_directions(B / norms[:, None], H[:, 2] / norms)
 
     # recession analysis via cyclic gaps between normal angles
     gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
     widest = int(np.argmax(gaps))
     max_gap = float(gaps[widest])
     if max_gap > np.pi + 1e-12:
-        return ConvexRegion2D(np.empty((0, 2)), _hyperplanes(B, A), UNBOUNDED)
-    if max_gap > np.pi - 1e-12:
+        status = UNBOUNDED
+    elif max_gap > np.pi - 1e-12:
         # normals span a closed half-circle; the two gap endpoints are
         # antipodal and decide feasibility of the resulting strip
-        i = widest
         j = (widest + 1) % len(A)
-        if A[i] + A[j] > GEOM_TOL:
-            return ConvexRegion2D.empty(_hyperplanes(B, A))
-        return ConvexRegion2D(np.empty((0, 2)), _hyperplanes(B, A), UNBOUNDED)
-
-    scale = 1.0 + float(np.abs(A).max())
-    box_half = BOX_FACTOR * scale
-    for _attempt in range(3):
-        V = _bounded_clip(B, A, box_half, method)
-        if V is None:
-            return ConvexRegion2D.empty(_hyperplanes(B, A))
-        if np.abs(V).max() < 0.99 * box_half:
-            break
-        box_half *= 100.0
+        status = EMPTY if A[widest] + A[j] > GEOM_TOL else UNBOUNDED
     else:
-        raise SingularSystem("bounded region exceeds the largest clipping box")
-
-    V = _dedupe_ring(V, 1e-9 * (1.0 + float(np.abs(V).max())))
-    if V.shape[0] < 3:
-        return ConvexRegion2D.empty(_hyperplanes(B, A))
-
-    return _polish(V, B, A)
+        box_half = BOX_FACTOR * (1.0 + float(np.abs(A).max()))
+        for _attempt in range(3):
+            V = _bounded_clip(B, A, box_half, method)
+            if V is None or np.abs(V).max() < 0.99 * box_half:
+                break
+            box_half *= 100.0
+        else:
+            raise SingularSystem("bounded region exceeds the largest clipping box")
+        if V is not None:
+            V = _dedupe_ring(V, 1e-9 * (1.0 + float(np.abs(V).max())))
+            if V.shape[0] >= 3:
+                return _polish(V, B, A)
+        status = EMPTY
+    # the deduplicated inputs
+    return ConvexRegion2D(np.empty((0, 2)), np.column_stack([B, A]), status)
 
 
 def _bounded_clip(B, A, box_half, method):
@@ -505,10 +447,11 @@ def _polish(V, B, A):
 
     check = new_vertices @ B.T - A
     tol = GEOM_TOL * (1.0 + float(np.abs(A).max()))
+    facets = np.column_stack([fb, fa])
     if check.min() >= -tol:
-        return ConvexRegion2D(new_vertices, _hyperplanes(fb, fa), BOUNDED)
+        return ConvexRegion2D(new_vertices, facets, BOUNDED)
     # fall back to the raw clipped polygon if the rebuild is worse
     raw_check = V @ B.T - A
     if raw_check.min() >= -tol:
-        return ConvexRegion2D(V, _hyperplanes(fb, fa), BOUNDED)
+        return ConvexRegion2D(V, facets, BOUNDED)
     raise SingularSystem("halfplane intersection failed verification")

@@ -22,7 +22,6 @@ from .geometry import (
     OUTSIDE,
     ConvexRegion2D,
     Direction,
-    Hyperplane,
     hausdorff_distance,
     intersect_halfplanes_2d,
 )
@@ -50,11 +49,12 @@ class EnvelopeConfig:
         object.__setattr__(self, "phase", float(self.phase))
 
 
-def km_hyperplane(cloud: PointCloud, tau: float, u) -> Hyperplane:
-    """u-orthogonal quantile hyperplane {z : u'z = q}.
+def km_hyperplane(cloud: PointCloud, tau: float, u) -> np.ndarray:
+    """u-orthogonal quantile hyperplane {z : u'z = q} as the row (u, q).
 
     q is the ceil(n tau)-th ascending order statistic of the projections
-    u'z_i; the upper halfspace is {u'z >= q}.
+    u'z_i; the upper halfspace is {u'z >= q}.  The row is read-only; for
+    k = 2 it is the (b_1, b_2, a) row intersect_halfplanes_2d reads.
     """
     if not isinstance(u, Direction):
         u = Direction(u)
@@ -64,7 +64,9 @@ def km_hyperplane(cloud: PointCloud, tau: float, u) -> Hyperplane:
     m0 = math.ceil(cloud.n * tau)
     proj = cloud.points @ u.vector
     q = float(np.partition(proj, m0 - 1)[m0 - 1])
-    return Hyperplane(u.vector, q)
+    row = np.append(u.vector, q)
+    row.setflags(write=False)
+    return row
 
 
 def km_envelope(cloud: PointCloud, cfg: EnvelopeConfig) -> ConvexRegion2D:

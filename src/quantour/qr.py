@@ -272,20 +272,7 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
     pivots = 0
     use_bland = False
     while True:
-        XB = X[B]
-        try:
-            beta = np.linalg.solve(XB, y[B])
-        except np.linalg.LinAlgError:
-            raise DegenerateDesign("fitted rows became singular during exchange")
-        r = y - X @ beta
-        r[B] = 0.0
-        psi = np.where(r <= -ztol, tau - 1.0, tau)
-        g = _off_basis_gradient(X, psi, in_basis)
-        try:
-            v = np.linalg.solve(XB.T, -g)
-        except np.linalg.LinAlgError:
-            raise DegenerateDesign("fitted rows became singular during exchange")
-
+        beta, r, psi, v = _vertex(y, X, tau, B, in_basis, ztol)
         over = v - tau
         under = (tau - 1.0) - v
         amount = np.maximum(over, under)
@@ -303,7 +290,7 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
         sigma = -1.0 if over[pos] > under[pos] else 1.0
         e = np.zeros(p)
         e[pos] = sigma
-        delta = np.linalg.solve(XB, e)
+        delta = np.linalg.solve(X[B], e)
         s = X @ delta
         slope0 = (tau - v[pos]) if sigma < 0 else (v[pos] + 1.0 - tau)
         t_star, enter = _line_search(r, s, in_basis, ztol, slope0)
@@ -348,28 +335,34 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
     )
 
 
+def _vertex(y, X, tau, B, in_basis, ztol):
+    """State (beta, r, psi, v) of the vertex fitting rows B.
+
+    beta fits y on X_B, r are the residuals (0 on B), psi their check-loss
+    slopes, and v solves X_B' v = -X_N' psi_N for the fitted-row duals.
+    """
+    XB = X[B]
+    try:
+        beta = np.linalg.solve(XB, y[B])
+        r = y - X @ beta
+        r[B] = 0.0
+        psi = np.where(r <= -ztol, tau - 1.0, tau)
+        v = np.linalg.solve(XB.T, -_off_basis_gradient(X, psi, in_basis))
+    except np.linalg.LinAlgError:
+        raise DegenerateDesign("fitted rows became singular during exchange")
+    return beta, r, psi, v
+
+
 def _canonicalize(y, X, tau, B, ztol, current):
     """Among tied optimal bases, walk to the lexicographically smallest.
 
     A dual weight sitting exactly on the box edge marks a zero-slope edge
     whose other endpoint is an equally optimal vertex; move there whenever
     it has a smaller sorted fitted set.  ``current`` is the exchange
-    loop's final (beta, r, psi, v, mask) for B, exactly what ``state(B)``
+    loop's final (beta, r, psi, v, mask) for B, exactly what ``_vertex``
     would recompute.
     """
     n, p = X.shape
-
-    def state(Bcur):
-        XB = X[Bcur]
-        beta = np.linalg.solve(XB, y[Bcur])
-        r = y - X @ beta
-        r[Bcur] = 0.0
-        psi = np.where(r <= -ztol, tau - 1.0, tau)
-        mask = np.zeros(n, dtype=bool)
-        mask[Bcur] = True
-        v = np.linalg.solve(XB.T, -_off_basis_gradient(X, psi, mask))
-        return beta, r, psi, v, mask
-
     beta, r, psi, v, mask = current
     for _ in range(16):
         best = None
@@ -395,7 +388,9 @@ def _canonicalize(y, X, tau, B, ztol, current):
         if best is None:
             break
         B = best[1]
-        beta, r, psi, v, mask = state(B)
+        mask = np.zeros(n, dtype=bool)
+        mask[B] = True
+        beta, r, psi, v = _vertex(y, X, tau, B, mask, ztol)
     return B, beta, r, psi, v, mask
 
 

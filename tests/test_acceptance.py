@@ -18,7 +18,6 @@ from quantour import (
     DegenerateData,
     Direction,
     EnvelopeConfig,
-    Hyperplane,
     PointCloud,
     QrProblem,
     RegressionProblem,
@@ -47,7 +46,7 @@ def symmetric_area_difference(a, b):
         return 0.0
     if a.status == EMPTY or b.status == EMPTY:
         return (a if b.status == EMPTY else b).area()
-    both = intersect_halfplanes_2d(list(a.halfplanes) + list(b.halfplanes))
+    both = intersect_halfplanes_2d(np.vstack([a.halfplanes, b.halfplanes]))
     return a.area() + b.area() - 2.0 * both.area()
 
 

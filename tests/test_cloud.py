@@ -1,9 +1,10 @@
 """General-position checks: duplicate rows and collinear triples.
 
 The angular-window scan in ``PointCloud.collinear_triples`` must return
-exactly what the dense O(n^3) scan it replaced returned: the same triples,
+exactly what the dense O(n^3) scan it replaced returns: the same triples,
 in the same order, cut at the same limit.  ``dense_collinear_triples`` below
-is that scan, kept as the independent oracle.
+is that scan, kept as the independent oracle; its tolerance is relative to
+the cloud's largest coordinate, with no floor at 1.
 """
 
 import time
@@ -26,7 +27,7 @@ def dense_collinear_triples(z, tol=1e-12, limit=32):
     m = len(z)
     found = []
     # scale-aware tolerance on twice the triangle area
-    scale = max(1.0, float(np.abs(z).max()))
+    scale = float(np.abs(z).max())
     area_tol = tol * scale * scale
     for ai in range(m - 2):
         a = z[ai]
@@ -116,6 +117,24 @@ def test_scaled_clouds_match_dense(scale):
     assert_same_triples(scale * RNG(40).standard_normal((60, 2)))
     assert_same_triples(scale * gaussian_with_midpoint(41, 40))
     assert_same_triples(scale * GRID8)
+
+
+def test_power_of_two_scaling_keeps_triples():
+    # scaling by 2**e is exact, so every cross product and the tolerance
+    # scale by 4**e and each triple is decided as in the unscaled cloud
+    clean = RNG(42).standard_normal((60, 2))
+    planted = gaussian_with_midpoint(43, 40)
+    for z in (clean, planted, GRID8, make_cloud(44, 300).points):
+        want = PointCloud(z).collinear_triples(limit=10**9)
+        for e in (-40, -20, 20):
+            assert PointCloud(2.0**e * z).collinear_triples(limit=10**9) == want, e
+    assert PointCloud(clean).collinear_triples(limit=10**9) == []
+    assert PointCloud(planted).collinear_triples(limit=10**9)
+    # at 2**-40 the absolute duplicate tolerance (1e-12) already merges rows
+    for e in (-20, 20):
+        PointCloud(2.0**e * clean).require_general_position()
+        with pytest.raises(DegenerateData):
+            PointCloud(2.0**e * planted).require_general_position()
 
 
 def test_generic_cloud_has_no_triples():

@@ -214,8 +214,8 @@ def test_region_facets_come_from_swept_lines():
         for b, a in lines:
             nb = np.linalg.norm(b)
             if (
-                np.allclose(facet.normal, np.asarray(b) / nb, atol=1e-7)
-                and abs(facet.offset - a / nb) <= 1e-7
+                np.allclose(facet[:2], np.asarray(b) / nb, atol=1e-7)
+                and abs(facet[2] - a / nb) <= 1e-7
             ):
                 hit = True
                 break
@@ -491,6 +491,20 @@ def test_wrap_merged_arc_matches_per_arc_loop():
     merged = [a for a in arcs if a.end > TWO_PI]
     assert len(merged) == 1 and merged[0].fitted == tuple(key[:2])
     assert_matches_reference(cloud, SweepResult(tau, arcs, 0, "parametric"))
+
+
+def test_fortran_ordered_input_gives_same_sweep():
+    # the cloud copies its input in C order, so the caller's memory layout
+    # cannot move a bit of the sweep
+    z = make_cloud(90, 300).points
+    tau = 0.2017
+    want = sweep(PointCloud(z), tau)
+    got = sweep(PointCloud(np.asfortranarray(z)), tau)
+    assert got.n_pivots == want.n_pivots and len(got.arcs) == len(want.arcs)
+    for g, w in zip(got.arcs, want.arcs):
+        assert same_bits((g.start, g.end), (w.start, w.end))
+        assert g.orientation == w.orientation
+        assert_same_hyperplane(g.hyperplane, w.hyperplane)
 
 
 def test_block_certification_error_parity(monkeypatch):

@@ -1,4 +1,4 @@
-"""Geometry primitives: directions, hyperplanes, halfplane intersection."""
+"""Geometry primitives: directions, halfplane rows, halfplane intersection."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from quantour import (
     ConvexRegion2D,
     DimensionMismatch,
     Direction,
-    Hyperplane,
     NotBounded,
     depth_region_bruteforce_2d,
     fixed_tau_region,
@@ -67,10 +66,11 @@ def test_orthocomplement_2d_is_rotation():
 
 
 def test_hyperplane_residual_sign():
-    h = Hyperplane(np.array([0.0, 1.0]), 0.5)
-    assert h.residual(np.array([0.0, 1.0])) > 0
-    assert h.residual(np.array([0.0, 0.0])) < 0
-    assert abs(h.residual(np.array([7.0, 0.5]))) <= 1e-15
+    # the row (b_1, b_2, a) is the halfplane b'x >= a: the side b points to
+    region = intersect_halfplanes_2d(np.array([[0.0, 1.0, 0.5]]))
+    assert region.status == UNBOUNDED
+    labels = region.classify_many(np.array([[0.0, 1.0], [0.0, 0.0], [7.0, 0.5]]))
+    assert labels == [INSIDE, OUTSIDE, BOUNDARY]
 
 
 def test_polygon_area_square():
@@ -79,12 +79,9 @@ def test_polygon_area_square():
 
 
 def test_intersect_unit_square():
-    planes = [
-        Hyperplane(np.array([1.0, 0.0]), 0.0),
-        Hyperplane(np.array([-1.0, 0.0]), -1.0),
-        Hyperplane(np.array([0.0, 1.0]), 0.0),
-        Hyperplane(np.array([0.0, -1.0]), -1.0),
-    ]
+    planes = np.array(
+        [[1.0, 0.0, 0.0], [-1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, -1.0, -1.0]]
+    )
     region = intersect_halfplanes_2d(planes)
     assert region.status == BOUNDED
     assert abs(region.area() - 1.0) <= 1e-12
@@ -94,23 +91,22 @@ def test_intersect_unit_square():
 
 
 def test_intersect_drops_redundant_plane():
-    planes = [
-        Hyperplane(np.array([1.0, 0.0]), 0.0),
-        Hyperplane(np.array([-1.0, 0.0]), -1.0),
-        Hyperplane(np.array([0.0, 1.0]), 0.0),
-        Hyperplane(np.array([0.0, -1.0]), -1.0),
-        Hyperplane(np.array([-1.0, 0.0]), -5.0),  # redundant
-    ]
+    planes = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, -1.0],
+            [0.0, 1.0, 0.0],
+            [0.0, -1.0, -1.0],
+            [-1.0, 0.0, -5.0],  # redundant
+        ]
+    )
     region = intersect_halfplanes_2d(planes)
     assert region.status == BOUNDED
     assert len(region.halfplanes) == 4
 
 
 def test_intersect_unbounded_strip():
-    planes = [
-        Hyperplane(np.array([0.0, 1.0]), 0.0),
-        Hyperplane(np.array([0.0, -1.0]), -1.0),
-    ]
+    planes = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, -1.0]])
     region = intersect_halfplanes_2d(planes)
     assert region.status == UNBOUNDED
     assert region.vertices.shape[0] == 0
@@ -119,10 +115,7 @@ def test_intersect_unbounded_strip():
 
 
 def test_intersect_empty_from_antipodal_pair():
-    planes = [
-        Hyperplane(np.array([1.0, 0.0]), 1.0),
-        Hyperplane(np.array([-1.0, 0.0]), 1.0),
-    ]
+    planes = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
     region = intersect_halfplanes_2d(planes)
     assert region.status == EMPTY
     assert region.area() == 0.0
@@ -130,17 +123,19 @@ def test_intersect_empty_from_antipodal_pair():
 
 def test_lazy_and_eager_agree_on_random_inputs():
     rng = RNG(11)
-    box = [
-        Hyperplane(Direction.from_angle(a).vector, -4.0)
-        for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
-    ]
+    box = np.array(
+        [
+            [*Direction.from_angle(a).vector, -4.0]
+            for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
+        ]
+    )
     for _ in range(50):
         m = int(rng.integers(4, 40))
         normals = rng.standard_normal((m, 2))
         # offsets keep the origin strictly inside so the region is nonempty;
         # the fixed triangle of far planes guarantees boundedness
         offsets = -rng.uniform(0.2, 2.0, size=m) * np.linalg.norm(normals, axis=1)
-        planes = box + [Hyperplane(normals[i], offsets[i]) for i in range(m)]
+        planes = np.vstack([box, np.column_stack([normals, offsets])])
         lazy = intersect_halfplanes_2d(planes, method="lazy")
         eager = intersect_halfplanes_2d(planes, method="eager")
         assert lazy.status == eager.status == BOUNDED
@@ -153,7 +148,7 @@ def test_from_vertices_matches_halfplane_route():
     poly = np.column_stack([np.cos(ang), 0.7 * np.sin(ang)])
     region = ConvexRegion2D.from_vertices(poly[::-1])  # clockwise input is fine
     assert region.status == BOUNDED
-    rebuilt = intersect_halfplanes_2d(list(region.halfplanes))
+    rebuilt = intersect_halfplanes_2d(region.halfplanes)
     assert hausdorff_distance(region, rebuilt) <= 1e-9
     assert abs(region.area() - rebuilt.area()) <= 1e-12
 
@@ -194,39 +189,63 @@ def test_hausdorff_translation():
 
 
 def test_dimension_mismatch_raises():
-    h = Hyperplane(np.array([1.0, 0.0, 0.0]), 0.0)
     with pytest.raises(DimensionMismatch):
-        intersect_halfplanes_2d([h])
-
-
-def _planes_bytes(region):
-    return [(h.normal.tobytes(), h.offset) for h in region.halfplanes]
+        intersect_halfplanes_2d(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
 
 
 def test_array_route_matches_hyperplane_route():
     # depth_region_bruteforce_2d and fixed_tau_region hand (m, 3) arrays to
-    # intersect_halfplanes_2d; the same halfplanes as Hyperplane objects
-    # must give the same bytes, and the reported unit normals must be
-    # exactly what Hyperplane.unit() gives for the inputs
+    # intersect_halfplanes_2d; the same rows again must give the same bytes,
+    # and every reported row must be exactly (b, a) / |b| of an input row,
+    # with |b| = float(np.linalg.norm(b))
     statuses = set()
     for seed, n, tau in ((11, 12, 0.178), (12, 30, 0.305), (13, 40, 0.101), (14, 9, 0.45)):
         cloud = make_cloud(seed, n)
         result = sweep(cloud, tau)
-        swept = [Hyperplane(arc.hyperplane.b, arc.hyperplane.a) for arc in result.arcs]
-        pairs = [Hyperplane(row[:2], row[2]) for row in _pair_halfplanes(cloud, tau)]
+        swept = np.array([[*arc.hyperplane.b, arc.hyperplane.a] for arc in result.arcs])
         for from_arrays, planes in (
             (fixed_tau_region(result), swept),
-            (depth_region_bruteforce_2d(cloud, tau), pairs),
+            (depth_region_bruteforce_2d(cloud, tau), _pair_halfplanes(cloud, tau)),
         ):
-            from_objects = intersect_halfplanes_2d(planes, method="lazy")
+            again = intersect_halfplanes_2d(planes, method="lazy")
             statuses.add(from_arrays.status)
-            assert from_objects.status == from_arrays.status
-            assert np.array_equal(from_objects.vertices, from_arrays.vertices)
-            assert _planes_bytes(from_objects) == _planes_bytes(from_arrays)
+            assert again.status == from_arrays.status
+            assert np.array_equal(again.vertices, from_arrays.vertices)
+            assert np.array_equal(again.halfplanes, from_arrays.halfplanes)
             # facets (BOUNDED) and deduplicated inputs (EMPTY) are unit inputs
-            units = {(h.normal.tobytes(), h.offset) for h in (p.unit() for p in planes)}
-            assert set(_planes_bytes(from_arrays)) <= units
+            units = {(row / float(np.linalg.norm(row[:2]))).tobytes() for row in planes}
+            assert {row.tobytes() for row in from_arrays.halfplanes} <= units
     assert statuses == {BOUNDED, EMPTY}
+
+
+def test_region_halfplanes_are_read_only_rows():
+    square = np.array(
+        [[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, -1.0]]
+    )
+    strip = np.array([[0.0, 2.0, 0.0], [0.0, -2.0, -2.0]])
+    cases = (
+        (square, BOUNDED, 4),
+        # the direction (1, 0) appears twice; the larger offset stays
+        (np.vstack([square, [[1.0, 0.0, 5.0]]]), EMPTY, 4),
+        (strip, UNBOUNDED, 2),
+        (np.empty((0, 3)), UNBOUNDED, 0),
+    )
+    for planes, status, rows in cases:
+        region = intersect_halfplanes_2d(planes)
+        assert region.status == status
+        H = region.halfplanes
+        assert isinstance(H, np.ndarray) and H.dtype == float and H.shape == (rows, 3)
+        assert not H.flags.writeable
+        with pytest.raises(ValueError):
+            H[0:1, 2] = 1.0
+        if rows:
+            assert np.array_equal(np.hypot(H[:, 0], H[:, 1]), np.ones(rows))
+    # the stored rows are copies: the caller's array stays writable and apart
+    region = ConvexRegion2D(np.empty((0, 2)), strip, UNBOUNDED)
+    assert strip.flags.writeable and not np.shares_memory(region.halfplanes, strip)
+    assert ConvexRegion2D.empty().halfplanes.shape == (0, 3)
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert ConvexRegion2D.from_vertices(corners).halfplanes.shape == (4, 3)
 
 
 def test_array_input_validation():

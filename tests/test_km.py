@@ -45,8 +45,9 @@ def test_directional_level_is_order_statistic():
     h = km_hyperplane(cloud, tau, u)
     proj = cloud.points @ u.vector
     m0 = int(np.ceil(cloud.n * tau))
-    assert np.allclose(h.normal, u.vector)
-    assert h.offset == float(np.sort(proj)[m0 - 1])
+    assert np.array_equal(h[:2], u.vector)
+    assert h[2] == float(np.sort(proj)[m0 - 1])
+    assert h.shape == (3,) and not h.flags.writeable
 
 
 def test_directional_level_matches_intercept_only_fit():
@@ -58,7 +59,7 @@ def test_directional_level_matches_intercept_only_fit():
     h = km_hyperplane(cloud, tau, u)
     proj = cloud.points @ u.vector
     sol = solve_qr(QrProblem(proj, np.ones((cloud.n, 1)), tau))
-    assert abs(h.offset - sol.beta[0]) <= 1e-12
+    assert abs(h[2] - sol.beta[0]) <= 1e-12
 
 
 def test_vertical_line_fixture():
@@ -66,8 +67,8 @@ def test_vertical_line_fixture():
     # the second smallest x, and the halfspace is x >= that level
     pts = np.array([[0.0, 0.1], [1.0, 0.9], [2.0, 0.4], [3.0, 0.7], [4.0, 0.2]])
     h = km_hyperplane(PointCloud(pts), 0.3, Direction([1.0, 0.0]))
-    assert np.allclose(h.normal, [1.0, 0.0])
-    assert h.offset == 1.0
+    assert np.allclose(h[:2], [1.0, 0.0])
+    assert h[2] == 1.0
 
 
 def test_square_envelope_with_axis_directions(square):
