@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, StillDegenerate
 
-# Two points closer than this (in every coordinate) count as duplicates,
-# and a triple with |cross product| below this counts as collinear.
+# Times max|z|: two points closer in every coordinate count as duplicates;
+# squared, a triple with a smaller |cross product| counts as collinear.
 GENERAL_POSITION_TOL = 1e-12
 
 # The collinearity scan tests an anchor's candidate pairs in batches of
@@ -74,7 +74,7 @@ class PointCloud:
         return f"PointCloud(n={self.n}, k={self.k})"
 
     def duplicate_rows(self, tol: float = GENERAL_POSITION_TOL):
-        """Every pair (i, j), i < j, of rows within ``tol`` in every coordinate.
+        """Every pair (i, j), i < j, of rows within ``tol * max|z|`` in every coordinate.
 
         Pairs come in ascending order.  c copies of one row make c(c - 1)/2
         pairs; :meth:`rows_with_duplicates` lists the rows alone.
@@ -101,7 +101,7 @@ class PointCloud:
         return [tuple(p) for p in pairs.tolist()]
 
     def rows_with_duplicates(self, tol: float = GENERAL_POSITION_TOL):
-        """Ascending rows that have another row within ``tol`` in every coordinate."""
+        """Ascending rows with another row within ``tol * max|z|`` in every coordinate."""
         value, (u, v) = _close_values(self.points, tol)
         dup = np.bincount(value)[value] > 1
         dup |= np.isin(value, np.concatenate([u, v]))
@@ -149,16 +149,17 @@ class PointCloud:
 
 
 def _close_values(z, tol):
-    """Distinct rows of ``z`` and the pairs of them within ``tol``.
+    """Distinct rows of ``z`` and the pairs of them within ``tol * max|z|``.
 
     Returns ``value``, the index of each row's distinct row, and arrays
-    (u, v), u < v, of distinct rows within ``tol`` in every coordinate.
+    (u, v), u < v, of distinct rows within that in every coordinate.
     The values of one coordinate, sorted, fall into runs whose steps are at
     most tol; two values within tol share a run, as no step between them is
     longer than their distance.  Only rows that share a run in every
     coordinate are tested.
     """
     n, k = z.shape
+    tol *= float(np.abs(z).max())
     order = np.lexsort(z.T[::-1])
     new = np.concatenate([[True], (z[order[1:]] != z[order[:-1]]).any(axis=1)])
     value = np.empty(n, dtype=np.intp)

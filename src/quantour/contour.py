@@ -42,8 +42,8 @@ from .geometry import (
     intersect_halfplanes_2d,
     vector_norm,
 )
-from .qr import QrProblem, check_loss, solve_qr, validate_tau
-from .regression import _design
+from .qr import check_loss, solve_qr, validate_tau
+from .regression import _reduced_problem
 
 TWO_PI = 2.0 * np.pi
 # endpoint slack allowed when checking that arcs tile the circle
@@ -55,6 +55,7 @@ MIN_WIDTH = 1e-12
 # arcs x points certified together: the block's (arcs, n, 2) temporaries
 # take 1 MB each; blocks of 2**18 elements and more measured slower
 _CERT_BLOCK_ELEMENTS = 1 << 16
+_UNIT = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -183,9 +184,15 @@ def _arc_for_basis(z, tau, i, j, s, scale):
     return ref + lo_rel, ref + hi_rel
 
 
-def _orientation(z, i, j, u_vec) -> int:
-    npr = _perp(z[j] - z[i])
-    return 1 if float(npr @ u_vec) > 0.0 else -1
+def _planar_frame(phi: float):
+    """Direction.from_angle(phi).vector and orthocomplement_basis, by their operations."""
+    u = np.array([np.cos(phi), np.sin(phi)])
+    u /= vector_norm(u)
+    # Gram-Schmidt on the unit vector off the first largest |u_j|
+    e = _UNIT[1 if abs(u[0]) >= abs(u[1]) else 0]
+    gamma = e - (e @ u) * u
+    gamma /= vector_norm(gamma)
+    return u, gamma
 
 
 def _align(lo: float, hi: float, anchor: float):
@@ -224,20 +231,27 @@ def sweep(cloud: PointCloud, tau: float, method: str = "parametric") -> SweepRes
 
 
 def _march_arcs(cloud: PointCloud, tau: float, scale: float):
-    """Parametric traversal; returns ([(lo, hi, i, j, s)], pivots)."""
+    """Parametric traversal; returns ([(lo, hi, i, j, s)], pivots).
+
+    Probes build [1, z gamma] as ``regression._design`` does.  As |u_i|,
+    |gamma_i| <= 1, |z'u| and |z'gamma| are below 2 ``scale``: only if that
+    overflows is each probe's design checked to be finite.
+    """
     z = cloud.points
     n = z.shape[0]
-    no_regressors = np.empty((n, 0))
+    bounded = 2.0 * scale < np.inf
 
     def solve_at(phi, warm):
-        u = Direction.from_angle(phi)
-        y, X, _ = _design(z, no_regressors, u)
+        u, gamma = _planar_frame(phi)
+        X = np.ones((n, 2))
+        X[:, 1] = z @ gamma
+        problem = _reduced_problem(z @ u, X, tau, finite=bounded)
         try:
-            sol = solve_qr(QrProblem(y, X, tau), initial_basis=warm)
+            sol = solve_qr(problem, initial_basis=warm)
         except DegenerateDesign as exc:
             raise DegenerateData(f"degenerate cloud at sweep angle {phi:.9f}: {exc}")
         i, j = sol.fitted
-        return sol, (int(i), int(j), _orientation(z, i, j, u.vector))
+        return sol, (i, j, 1 if float(_perp(z[j] - z[i]) @ u) > 0.0 else -1)
 
     sol, key = solve_at(0.0, None)
     pivots = sol.pivots

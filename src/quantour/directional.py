@@ -25,8 +25,8 @@ from .errors import (
     SingularSystem,
 )
 from .geometry import Direction
-from .qr import QrProblem, solve_qr, validate_tau
-from .regression import _certify, _design, _lift, _location_stationarity_solve
+from .qr import solve_qr, validate_tau
+from .regression import _certify, _design, _lift, _location_stationarity_solve, _reduced_problem
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,9 @@ def directional_quantile(cloud: PointCloud, tau: float, u) -> QuantileHyperplane
     if n <= k:
         raise DimensionMismatch(f"need n > k observations, got n={n}, k={k}")
     y, X, gamma = _design(z, np.empty((n, 0)), u)
-    validate_tau(tau, n)
+    problem = _reduced_problem(y, X, validate_tau(tau, n))
     try:
-        sol = solve_qr(QrProblem(y, X, tau))
+        sol = solve_qr(problem)
     except DegenerateDesign as exc:
         raise DegenerateData(f"cloud is degenerate along direction {u!r}: {exc}")
     a, d, b = _lift(sol, u, gamma, 0)

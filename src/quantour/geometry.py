@@ -287,10 +287,10 @@ def _clip(V: np.ndarray, b: np.ndarray, a: float, eps: float) -> np.ndarray:
         return V
     if not np.any(keep):
         return V[:0]
-    rn = np.roll(r, -1)
-    keep_next = np.roll(keep, -1)
-    crossing = keep != keep_next
-    Vn = np.roll(V, -1, axis=0)
+    # each vertex's cyclic successor
+    rn = np.concatenate((r[1:], r[:1]))
+    crossing = keep != np.concatenate((keep[1:], keep[:1]))
+    Vn = np.concatenate((V[1:], V[:1]))
     t = r[crossing] / (r[crossing] - rn[crossing])
     P = V[crossing] + t[:, None] * (Vn[crossing] - V[crossing])
     # each index i emits V[i] when kept, then the edge crossing if any

@@ -7,6 +7,9 @@ optimality through the dual weights of the fitted rows.  Everything is
 deterministic: ties in entering rows break toward the smallest row index,
 and optima with non-unique bases are canonicalized toward the
 lexicographically smallest fitted set.
+
+``QrProblem(...)`` copies and validates its inputs; internal callers that
+ensure its checks themselves use ``QrProblem._trusted``, which does neither.
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ class QrProblem:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "tau", tau)
 
+    @classmethod
+    def _trusted(cls, y, X, tau) -> "QrProblem":
+        """Instance over the caller's y, X and tau as given: no copy, no check."""
+        self = object.__new__(cls)
+        self.__dict__.update(y=y, X=X, tau=tau)
+        return self
+
     @property
     def n(self) -> int:
         return self.X.shape[0]
@@ -96,7 +106,7 @@ class QrProblem:
 
 @dataclass(frozen=True)
 class QrSolution:
-    """Vertex solution with optimality certificate.
+    """Vertex solution with optimality certificate; solve_qr freezes its arrays.
 
     beta : (p,) coefficients.
     fitted : sorted row indices with zero residual (the basis), length p.
@@ -117,13 +127,6 @@ class QrSolution:
     n_below: int
     n_above: int
     pivots: int
-
-    def __post_init__(self):
-        for name in ("beta", "residuals", "duals", "psi"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "fitted", tuple(int(i) for i in self.fitted))
 
 
 def _stable_prefixes(values: np.ndarray, k: int):
@@ -156,7 +159,7 @@ def _initial_basis(y: np.ndarray, X: np.ndarray, requested) -> np.ndarray:
     n, p = X.shape
     if requested is not None:
         B = np.asarray(list(requested), dtype=int)
-        if B.shape[0] == p and len(set(B.tolist())) == p and ((0 <= B) & (B < n)).all():
+        if B.shape[0] == p and len(set(rows := B.tolist())) == p and all(0 <= i < n for i in rows):
             # reject singular warm starts, fall through to the cold start;
             # np.linalg.matrix_rank's rule: every singular value above
             # max * p * eps (LAPACK returns them in descending order)
@@ -273,12 +276,13 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
     use_bland = False
     while True:
         beta, r, psi, v = _vertex(y, X, tau, B, in_basis, ztol)
+        # the optimality test below on Python floats; like it, never true on NaN
+        if not any(x - tau > DUAL_TOL or (tau - 1.0) - x > DUAL_TOL for x in v.tolist()):
+            break
         over = v - tau
         under = (tau - 1.0) - v
         amount = np.maximum(over, under)
         violated = amount > DUAL_TOL
-        if not violated.any():
-            break
         if pivots >= max_pivots:
             raise NoConvergence(f"no optimum after {pivots} pivots")
 
@@ -305,7 +309,7 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
     B, beta, r, psi, v, in_basis = _canonicalize(y, X, tau, B, ztol, (beta, r, psi, v, in_basis))
 
     # certificates: dual box, zero gradient, and vertex uniqueness
-    if (v > tau + CERT_DUAL_TOL).any() or (v < tau - 1.0 - CERT_DUAL_TOL).any():
+    if any(x > tau + CERT_DUAL_TOL or x < tau - 1.0 - CERT_DUAL_TOL for x in v.tolist()):
         raise NoConvergence("dual feasibility certificate failed")
     psi_full = psi.copy()
     psi_full[B] = v
@@ -320,14 +324,16 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
             "basis; general position fails"
         )
 
-    objective = float(check_loss(tau, r).sum())
     order = B.argsort(kind="stable")
+    duals = v[order]
+    for arr in (beta, r, duals, psi_full):  # this call's own: freeze, not copy
+        arr.setflags(write=False)
     return QrSolution(
         beta=beta,
-        fitted=B[order].tolist(),
+        fitted=tuple(B[order].tolist()),
         residuals=r,
-        objective=objective,
-        duals=v[order],
+        objective=float((r * (tau - (r < 0.0))).sum()),  # check_loss minus its tau check
+        duals=duals,
         psi=psi_full,
         n_below=int(np.count_nonzero(r <= -ztol)),
         n_above=int(np.count_nonzero(r >= ztol)),
@@ -366,10 +372,10 @@ def _canonicalize(y, X, tau, B, ztol, current):
     beta, r, psi, v, mask = current
     for _ in range(16):
         best = None
-        for pos in range(p):
-            if abs(v[pos] - tau) <= TIE_TOL:
+        for pos, vp in enumerate(v.tolist()):
+            if abs(vp - tau) <= TIE_TOL:
                 sigma = -1.0
-            elif abs(v[pos] - (tau - 1.0)) <= TIE_TOL:
+            elif abs(vp - (tau - 1.0)) <= TIE_TOL:
                 sigma = 1.0
             else:
                 continue

@@ -144,6 +144,14 @@ def _design(Y, X, u: Direction):
     return t, design, gamma
 
 
+def _reduced_problem(t, design, tau: float, finite: bool = False) -> QrProblem:
+    """Uncopied QrProblem over ``_design``'s arrays; checks them unless vouched ``finite``."""
+    # finite data can still overflow in u'y and Y Gamma
+    if not (finite or (np.isfinite(t).all() and np.isfinite(design).all())):
+        raise DimensionMismatch("inputs must be finite")
+    return QrProblem._trusted(t, design, tau)
+
+
 def _lift(sol: QrSolution, u: Direction, gamma, q: int):
     """Intercept a, response coefficients d and normal b = u - Gamma d."""
     a = float(sol.beta[0])
@@ -188,7 +196,7 @@ def regression_quantile(rp: RegressionProblem) -> RegressionQuantile:
     """
     t, design, gamma = _design(rp.Y, rp.X, rp.u)
     try:
-        sol = solve_qr(QrProblem(t, design, rp.tau))
+        sol = solve_qr(_reduced_problem(t, design, rp.tau))
     except DegenerateDesign as exc:
         raise DegenerateData(f"degenerate regression design: {exc}")
     q = rp.p - 1

@@ -43,8 +43,9 @@ def dense_collinear_triples(z, tol=1e-12, limit=32):
 
 
 def brute_duplicate_rows(z, tol=1e-12):
+    """All pairs within tol times the largest |coordinate|, by the dense test."""
     z = np.asarray(z, dtype=float).reshape(len(z), -1)
-    close = (np.abs(z[:, None, :] - z[None, :, :]) <= tol).all(axis=2)
+    close = (np.abs(z[:, None, :] - z[None, :, :]) <= tol * np.abs(z).max()).all(axis=2)
     return [tuple(p) for p in np.argwhere(np.triu(close, k=1)).tolist()]
 
 
@@ -130,8 +131,8 @@ def test_power_of_two_scaling_keeps_triples():
             assert PointCloud(2.0**e * z).collinear_triples(limit=10**9) == want, e
     assert PointCloud(clean).collinear_triples(limit=10**9) == []
     assert PointCloud(planted).collinear_triples(limit=10**9)
-    # at 2**-40 the absolute duplicate tolerance (1e-12) already merges rows
-    for e in (-20, 20):
+    # the duplicate tolerance scales with the cloud too
+    for e in (-40, -20, 20):
         PointCloud(2.0**e * clean).require_general_position()
         with pytest.raises(DegenerateData):
             PointCloud(2.0**e * planted).require_general_position()
@@ -214,16 +215,40 @@ def test_duplicate_rows_match_all_pairs():
     # 1-D cloud: 100 integer values, 20 copies each, in random order
     ties = RNG(91).permutation(np.repeat(np.arange(100.0), 20))
     assert len(assert_same_duplicates(ties)) == 100 * 20 * 19 // 2
-    # chains of values 0.6 tol apart: neighbours are duplicates, rows two
-    # steps apart are not
-    chain = 0.6e-12 * np.arange(30.0)
+    # chains of values 0.6 tol * max|z| apart: neighbours are duplicates,
+    # rows two steps apart are not
+    chain = 1.0 + 0.6e-12 * np.arange(30.0)
     assert assert_same_duplicates(chain) == [(i, i + 1) for i in range(29)]
     assert_same_duplicates(np.column_stack([chain, np.zeros(30)]))
     assert_same_duplicates(np.column_stack([chain, chain[::-1]]))
     for tol in (0.0, 0.5, 1.5):
         assert_same_duplicates(z, tol=tol)
-    # steps of exactly tol
-    assert_same_duplicates(np.round(z), tol=1.0)
+    # steps of exactly tol * max|z|
+    assert np.abs(np.round(z)).max() == 2.0
+    assert_same_duplicates(np.round(z), tol=0.5)
+
+
+@pytest.mark.parametrize("e", [-40, 0, 20])
+def test_duplicate_tolerance_scales_with_the_cloud(e):
+    # 60 Gaussian rows plus a copy of row 7 moved by 1e-13 * max|z|: at
+    # every scale the planted pair alone is reported, with no row merged
+    # by an absolute floor (at 2**-40, 1e-12 would merge 59 of the rows)
+    z = RNG(94).standard_normal((60, 2))
+    z = np.vstack([z, z[7] + 1e-13 * np.abs(z).max()])
+    cloud = PointCloud(2.0**e * z)
+    assert cloud.duplicate_rows() == [(7, 60)]
+    assert cloud.rows_with_duplicates() == [7, 60]
+    assert_same_duplicates(2.0**e * z)
+    with pytest.raises(DegenerateData, match="duplicate points") as info:
+        cloud.require_general_position()
+    assert list(info.value.indices) == [7, 60]
+
+
+def test_all_zero_cloud_reports_exact_duplicates():
+    cloud = PointCloud(np.zeros((4, 2)))
+    assert cloud.duplicate_rows() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert cloud.rows_with_duplicates() == [0, 1, 2, 3]
+    assert PointCloud(np.zeros((1, 2))).rows_with_duplicates() == []
 
 
 def test_duplicate_rows_on_shared_coordinates_are_fast():

@@ -1,5 +1,7 @@
 """Fixed-tau directional sweep and the resulting contour regions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,10 @@ from quantour import (
 )
 from quantour.contour import MIN_WIDTH, SweepResult, _perp
 from quantour.directional import QuantileHyperplane
+from quantour.errors import DegenerateDesign
 from quantour.geometry import Direction, orthocomplement_basis, vector_norm
-from quantour.qr import check_loss
-from quantour.regression import _location_stationarity_solve
+from quantour.qr import QrProblem, check_loss, solve_qr
+from quantour.regression import _design, _location_stationarity_solve
 from conftest import SQRT3, make_cloud
 
 RNG = np.random.default_rng
@@ -593,3 +596,165 @@ def test_arc_for_basis_matches_reference():
             tau = float(rng.uniform(0.02, 0.98))
             got = contour_module._arc_for_basis(z, tau, i, j, s, scale_z)
             assert got == reference_arc_for_basis(z, tau, i, j, s)
+
+
+# ------------------------------------------- the former probe path, verbatim
+# Each sweep probe now builds its design in place and hands solve_qr an
+# unchecked QrProblem.  This is the march with the probe it replaces
+# (Direction.from_angle, regression._design, the checking QrProblem), kept
+# as it was so that every probe, the pivot count and every arc bit can be
+# compared.
+
+def reference_orientation(z, i, j, u_vec) -> int:
+    npr = _perp(z[j] - z[i])
+    return 1 if float(npr @ u_vec) > 0.0 else -1
+
+
+def reference_march_arcs(cloud, tau, scale, solve):
+    """Parametric traversal; returns ([(lo, hi, i, j, s)], pivots)."""
+    z = cloud.points
+    n = z.shape[0]
+    no_regressors = np.empty((n, 0))
+
+    def solve_at(phi, warm):
+        u = Direction.from_angle(phi)
+        y, X, _ = _design(z, no_regressors, u)
+        try:
+            sol = solve(QrProblem(y, X, tau), initial_basis=warm)
+        except DegenerateDesign as exc:
+            raise DegenerateData(f"degenerate cloud at sweep angle {phi:.9f}: {exc}")
+        i, j = sol.fitted
+        return sol, (int(i), int(j), reference_orientation(z, i, j, u.vector))
+
+    sol, key = solve_at(0.0, None)
+    pivots = sol.pivots
+    arc = contour_module._arc_for_basis(z, tau, *key, scale)
+    if arc is None:
+        raise ArcGap("initial basis has an empty validity arc")
+    lo0, hi0 = contour_module._align(*arc, anchor=0.0)
+    records = [(lo0, hi0, *key)]
+    cursor = hi0
+    target = lo0 + TWO_PI
+    advance = contour_module.MIN_ADVANCE
+    max_probes = 16 * n * n + 256
+
+    for _probe_count in range(max_probes):
+        if cursor >= target - contour_module.TILE_TOL:
+            break
+        phi = min(cursor + advance, 0.5 * (cursor + target))
+        prev = records[-1]
+        sol, key = solve_at(phi, warm=prev[2:4])
+        pivots += sol.pivots
+        if key == tuple(prev[2:]):
+            # arc end estimate was conservative; push further
+            advance *= 10.0
+            if advance > 0.5:
+                raise ArcGap(f"sweep stalled near angle {cursor:.9f}")
+            continue
+        arc = contour_module._arc_for_basis(z, tau, *key, scale)
+        if arc is None:
+            raise ArcGap(f"optimal basis at angle {phi:.9f} reports an empty arc")
+        lo, hi = contour_module._align(*arc, anchor=phi)
+        if lo > cursor + contour_module.TILE_TOL:
+            # a thinner arc hides between cursor and lo: bisect into the gap
+            advance = max(0.5 * (lo - cursor), contour_module.MIN_ADVANCE)
+            continue
+        records.append((lo, hi, *key))
+        cursor = hi
+        advance = contour_module.MIN_ADVANCE
+    else:
+        raise ArcGap("sweep did not close the circle within its probe budget")
+
+    if cursor > target + contour_module.TILE_TOL:
+        raise ArcGap("final arc overshoots the starting boundary")
+    return records, pivots
+
+
+def recording_solve(log):
+    """solve_qr, logging each probe's problem bits, warm start and answer."""
+
+    def solve(problem, initial_basis=None):
+        sol = solve_qr(problem, initial_basis=initial_basis)
+        data = hashlib.sha256(problem.y.tobytes() + problem.X.tobytes()).hexdigest()
+        log.append((data, problem.X.shape, problem.tau, initial_basis, sol.fitted, sol.pivots))
+        return sol
+
+    return solve
+
+
+def reference_sweep(cloud, tau):
+    """(arcs, n_pivots, probe log) of the sweep through the former probe path."""
+    log = []
+    scale = 1.0 + float(np.abs(cloud.points).max())
+    raw, pivots = reference_march_arcs(cloud, tau, scale, recording_solve(log))
+    return contour_module._finalize(cloud.points, tau, raw), pivots, log
+
+
+@pytest.mark.parametrize("n, scale, tau, seed", SWEEP_CASES)
+def test_probe_path_matches_former_solve_at(n, scale, tau, seed, monkeypatch):
+    cloud = make_cloud(seed, n, scale=scale)
+    want_arcs, want_pivots, want_log = reference_sweep(cloud, tau)
+    got_log = []
+    # the sweep must call solve_qr through contour's module-level name,
+    # where the benchmark tracer counts every probe
+    monkeypatch.setattr(contour_module, "solve_qr", recording_solve(got_log))
+    result = sweep(cloud, tau)
+    assert got_log == want_log
+    assert result.n_pivots == want_pivots
+    assert len(result.arcs) == len(want_arcs)
+    for got, want in zip(result.arcs, want_arcs):
+        assert same_bits((got.start, got.end), (want.start, want.end))
+        assert got.orientation == want.orientation
+        assert_same_hyperplane(got.hyperplane, want.hyperplane)
+
+
+def test_planar_frame_matches_direction_and_complement():
+    # 10**5 angles: uniform ones, and the nearest doubles around every
+    # k pi / 4, where |u_1| and |u_2| come within an ulp of a tie (no
+    # angle within 20,000 ulps of k pi / 4 makes them equal)
+    rng = RNG(95)
+    near = []
+    for k in range(-8, 17):
+        lo = hi = k * np.pi / 4.0
+        near.append(lo)
+        for _ in range(200):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            near += [lo, hi]
+    phis = np.concatenate([near, rng.uniform(-TWO_PI, 2.0 * TWO_PI, 100_000 - len(near))])
+    for phi in phis.tolist():
+        u, gamma = contour_module._planar_frame(phi)
+        d = Direction.from_angle(phi)
+        assert same_bits(u, d.vector), phi
+        assert same_bits(gamma, orthocomplement_basis(d)[:, 0]), phi
+
+
+GAUSS30 = RNG(0).standard_normal((30, 2))
+SPIKE30 = GAUSS30.copy()
+SPIKE30[4, 0] = 1.7e308
+SPIKE30_BOTH = GAUSS30.copy()
+SPIKE30_BOTH[4] = (1.7e308, 1.7e308)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "z, error, message",
+    [
+        (1e12 * GAUSS30, DegenerateData,
+         "degenerate cloud at sweep angle 0.000000000: design matrix is rank deficient (rank < 2)"),
+        (1e300 * GAUSS30, DegenerateData,
+         "degenerate cloud at sweep angle 0.000000000: design matrix is rank deficient (rank < 2)"),
+        (SPIKE30, NoConvergence, "no optimum after 1500 pivots"),
+        (SPIKE30_BOTH, NoConvergence, "no optimum after 1500 pivots"),
+        (1e-8 * GAUSS30, NoConvergence, "no optimum after 1500 pivots"),
+    ],
+)
+def test_extreme_scale_errors_are_unchanged(z, error, message):
+    # the errors the sweep raised while every probe was validated on its
+    # own; 2 * 1.7e308 overflows, so the spiked clouds take the checked path
+    cloud = PointCloud(z)
+    with pytest.raises(error) as info:
+        sweep(cloud, 0.2017)
+    assert type(info.value) is error and str(info.value) == message
+    with pytest.raises(error) as info:
+        reference_sweep(cloud, 0.2017)
+    assert type(info.value) is error and str(info.value) == message

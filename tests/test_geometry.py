@@ -22,6 +22,7 @@ from quantour import (
     polygon_area,
     sweep,
 )
+from quantour import geometry as geometry_module
 from quantour.depth import _pair_halfplanes
 from conftest import make_cloud
 
@@ -263,3 +264,49 @@ def test_array_input_validation():
     assert intersect_halfplanes_2d(square).status == BOUNDED
     with pytest.raises(ValueError):
         intersect_halfplanes_2d(square, method="auto")
+
+
+def reference_clip(V, b, a, eps):
+    """The np.roll form of the clip, kept verbatim as the oracle."""
+    m = V.shape[0]
+    if m == 0:
+        return V
+    r = V @ b - a
+    keep = r >= -eps
+    if np.all(keep):
+        return V
+    if not np.any(keep):
+        return V[:0]
+    rn = np.roll(r, -1)
+    keep_next = np.roll(keep, -1)
+    crossing = keep != keep_next
+    Vn = np.roll(V, -1, axis=0)
+    t = r[crossing] / (r[crossing] - rn[crossing])
+    P = V[crossing] + t[:, None] * (Vn[crossing] - V[crossing])
+    counts = keep.astype(np.int64) + crossing.astype(np.int64)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    out = np.empty((int(counts.sum()), 2))
+    out[starts[keep]] = V[keep]
+    out[starts[crossing] + keep[crossing]] = P
+    return out
+
+
+def test_clip_matches_roll_reference():
+    rng = RNG(96)
+    seen = set()
+    for trial in range(3000):
+        m = int(rng.integers(0, 25))
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+        V = rng.uniform(0.5, 2.0, m)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+        V = V * 10.0 ** rng.integers(-3, 4) + rng.standard_normal(2)
+        b = rng.standard_normal(2)
+        if m and trial % 5 == 0:
+            a = float(V[int(rng.integers(m))] @ b)  # the line through a vertex
+        else:
+            a = float(rng.standard_normal() * np.abs(V).max(initial=1.0))
+        eps = float(rng.choice([0.0, 1e-11, 1e-3]))
+        got = geometry_module._clip(V, b, a, eps)
+        want = reference_clip(V, b, a, eps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
+        seen.add("none" if got.shape[0] == 0 else "all" if got is V else "cut")
+    assert seen == {"none", "all", "cut"}

@@ -436,3 +436,222 @@ def test_prefix_selection_keeps_the_pivot_path(n, p, seed, monkeypatch):
         for name in ("beta", "duals", "residuals", "psi"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
         assert fast.objective == slow.objective
+
+
+# ------------------------------------------ the former solve_qr, verbatim
+# solve_qr now tests optimality and dual ties on Python floats, computes
+# the objective inline and freezes its own arrays instead of copying them.
+# These are the exchange loop, tie walk and output they replace, kept as
+# they were; both versions look up the same _vertex, so a patched _vertex
+# feeds both the same dual weights, NaN included.
+
+def reference_solve_qr(problem, initial_basis=None, max_pivots=None):
+    y, X, tau = problem.y, problem.X, problem.tau
+    n, p = X.shape
+    if max_pivots is None:
+        max_pivots = max(500, 50 * n)
+    ztol = 1e-10 * (1.0 + float(np.abs(y).max()))
+
+    B = qr_module._initial_basis(y, X, initial_basis)
+    in_basis = np.zeros(n, dtype=bool)
+    in_basis[B] = True
+
+    pivots = 0
+    use_bland = False
+    while True:
+        beta, r, psi, v = qr_module._vertex(y, X, tau, B, in_basis, ztol)
+        over = v - tau
+        under = (tau - 1.0) - v
+        amount = np.maximum(over, under)
+        violated = amount > qr_module.DUAL_TOL
+        if not violated.any():
+            break
+        if pivots >= max_pivots:
+            raise qr_module.NoConvergence(f"no optimum after {pivots} pivots")
+
+        if use_bland:
+            slots = np.nonzero(violated)[0]
+            pos = int(slots[np.argmin(B[slots])])
+        else:
+            pos = int(np.argmax(amount))
+        sigma = -1.0 if over[pos] > under[pos] else 1.0
+        e = np.zeros(p)
+        e[pos] = sigma
+        delta = np.linalg.solve(X[B], e)
+        s = X @ delta
+        slope0 = (tau - v[pos]) if sigma < 0 else (v[pos] + 1.0 - tau)
+        t_star, enter = qr_module._line_search(r, s, in_basis, ztol, slope0)
+        if enter is None:
+            raise DegenerateDesign("objective unbounded along an edge (rank defect)")
+        in_basis[B[pos]] = False
+        in_basis[enter] = True
+        B[pos] = enter
+        use_bland = t_star <= 1e-12
+        pivots += 1
+
+    B, beta, r, psi, v, in_basis = reference_canonicalize(
+        y, X, tau, B, ztol, (beta, r, psi, v, in_basis)
+    )
+
+    if (v > tau + qr_module.CERT_DUAL_TOL).any() or (v < tau - 1.0 - qr_module.CERT_DUAL_TOL).any():
+        raise qr_module.NoConvergence("dual feasibility certificate failed")
+    psi_full = psi.copy()
+    psi_full[B] = v
+    grad = X.T @ psi_full
+    scale = 1.0 + float(np.abs(X).max())
+    if float(np.abs(grad).max()) > qr_module.CERT_GRAD_TOL * scale:
+        raise qr_module.NoConvergence("zero-gradient certificate failed")
+    stray = ((np.abs(r) < ztol) & ~in_basis).nonzero()[0]
+    if stray.size:
+        raise DegenerateDesign(
+            f"rows {stray.tolist()} lie on the fitted hyperplane but are not in the "
+            "basis; general position fails"
+        )
+
+    objective = float(check_loss(tau, r).sum())
+    order = B.argsort(kind="stable")
+    return dict(
+        beta=np.array(beta, dtype=float),
+        fitted=tuple(int(i) for i in B[order].tolist()),
+        residuals=np.array(r, dtype=float),
+        objective=objective,
+        duals=np.array(v[order], dtype=float),
+        psi=np.array(psi_full, dtype=float),
+        n_below=int(np.count_nonzero(r <= -ztol)),
+        n_above=int(np.count_nonzero(r >= ztol)),
+        pivots=pivots,
+    )
+
+
+def reference_canonicalize(y, X, tau, B, ztol, current):
+    n, p = X.shape
+    beta, r, psi, v, mask = current
+    for _ in range(16):
+        best = None
+        for pos in range(p):
+            if abs(v[pos] - tau) <= qr_module.TIE_TOL:
+                sigma = -1.0
+            elif abs(v[pos] - (tau - 1.0)) <= qr_module.TIE_TOL:
+                sigma = 1.0
+            else:
+                continue
+            e = np.zeros(p)
+            e[pos] = sigma
+            delta = np.linalg.solve(X[B], e)
+            s = X @ delta
+            t_star, enter = qr_module._line_search(r, s, mask, ztol, 0.0)
+            if enter is None or t_star <= 1e-12:
+                continue
+            cand = B.copy()
+            cand[pos] = enter
+            key = tuple(sorted(cand.tolist()))
+            if key < tuple(sorted(B.tolist())) and (best is None or key < best[0]):
+                best = (key, cand)
+        if best is None:
+            break
+        B = best[1]
+        mask = np.zeros(n, dtype=bool)
+        mask[B] = True
+        beta, r, psi, v = qr_module._vertex(y, X, tau, B, mask, ztol)
+    return B, beta, r, psi, v, mask
+
+
+def outcome(solve, *args, **kwargs):
+    """Every output field as bytes, or the exception's type and message."""
+    try:
+        sol = solve(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    fields = sol if isinstance(sol, dict) else sol.__dict__
+    return {
+        k: (np.asarray(f).dtype, np.asarray(f).tobytes()) if isinstance(f, np.ndarray) else f
+        for k, f in fields.items()
+    }
+
+
+def test_solve_qr_matches_former_loop_and_output():
+    rng = RNG(46)
+    for n, p in ((7, 2), (40, 2), (300, 3), (2000, 5)):
+        for tau in (0.1013, 0.5003, 0.8997):
+            y, X = regression_design(rng, n, p)
+            problem = QrProblem(y, X, tau)
+            want = outcome(reference_solve_qr, problem)
+            assert outcome(solve_qr, problem) == want
+            assert isinstance(want, dict)
+            start = list(rng.choice(n, p, replace=False))
+            assert outcome(solve_qr, problem, start) == outcome(reference_solve_qr, problem, start)
+    # tied optima: integer data, so _canonicalize walks between bases
+    for seed in range(6):
+        y, X, tau = random_instance(RNG(460 + seed), n_max=30, p_max=3)
+        problem = QrProblem(np.round(2 * y), X.round(), tau)
+        assert outcome(solve_qr, problem) == outcome(reference_solve_qr, problem)
+
+
+def test_solution_arrays_are_frozen_results_of_the_call():
+    y, X = regression_design(RNG(47), 200, 3)
+    sol = solve_qr(QrProblem(y, X, 0.3001))
+    arrays = [sol.beta, sol.residuals, sol.duals, sol.psi]
+    for arr in arrays:
+        assert arr.dtype == float and not arr.flags.writeable
+    for a, b in combinations(arrays + [y, X], 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_trusted_problem_neither_copies_nor_checks():
+    y, X = regression_design(RNG(48), 50, 2)
+    trusted = QrProblem._trusted(y, X, 0.3001)
+    assert trusted.y is y and trusted.X is X and trusted.tau == 0.3001
+    assert outcome(solve_qr, trusted) == outcome(solve_qr, QrProblem(y, X, 0.3001))
+    # the public constructor still copies and checks
+    public = QrProblem(y, X, 0.3001)
+    assert not np.shares_memory(public.X, X) and not public.X.flags.writeable
+    y[3] = np.inf
+    with pytest.raises(DimensionMismatch, match="inputs must be finite"):
+        QrProblem(y, X, 0.3001)
+
+
+def dual_edges(tau):
+    """Dual weights exactly on and just past the DUAL_TOL and TIE_TOL edges."""
+    out = []
+    for edge in (tau, tau - 1.0):
+        sign = 1.0 if edge == tau else -1.0
+        for tol in (qr_module.DUAL_TOL, qr_module.TIE_TOL):
+            x = edge + sign * tol
+            out += [x, np.nextafter(x, sign * np.inf), np.nextafter(x, -sign * np.inf)]
+        out.append(edge)
+    return out
+
+
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, 0.0, -0.0, "edges"])
+@pytest.mark.parametrize("warm", [False, True])
+def test_optimality_and_tie_tests_mirror_numpy(special, warm, monkeypatch):
+    # dual weights that are NaN, infinite, or on the DUAL_TOL and TIE_TOL
+    # edges, put into one slot of the dual vector at one _vertex call of
+    # both loops: the same pivots, certificates and errors come out.  A
+    # warm start at the optimum makes call 0 the optimal vertex, where
+    # the other duals lie inside the box.
+    tau = 0.3001
+    y, X = regression_design(RNG(49), 60, 3)
+    problem = QrProblem(y, X, tau)
+    start = solve_qr(problem).fitted if warm else None
+    values = dual_edges(tau) if special == "edges" else [special]
+    real_vertex = qr_module._vertex
+    for value in values:
+        for call in range(3):
+            for slot in range(3):
+                outcomes = []
+                for solve in (solve_qr, reference_solve_qr):
+                    calls = [0]
+
+                    def vertex(*args):
+                        beta, r, psi, v = real_vertex(*args)
+                        if calls[0] == call:
+                            v = v.copy()
+                            v[slot] = value
+                        calls[0] += 1
+                        return beta, r, psi, v
+
+                    monkeypatch.setattr(qr_module, "_vertex", vertex)
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        outcomes.append(outcome(solve, problem, start))
+                assert outcomes[0] == outcomes[1], (value, call, slot)

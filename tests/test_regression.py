@@ -26,6 +26,8 @@ from quantour import (
     solve_qr,
     sweep,
 )
+from quantour import directional as directional_module
+from quantour import regression as regression_module
 
 RNG = np.random.default_rng
 
@@ -479,3 +481,57 @@ def test_problem_validation():
             0.33,
             Direction([1.0, 0.0, 0.0]),
         )
+
+
+def public_reduced_problem(t, design, tau, finite=False):
+    """The former hand-off: the public, copying and checking QrProblem."""
+    return QrProblem(t, design, tau)
+
+
+def fit_fields(fit):
+    """Every field of a fitted hyperplane, with arrays as bytes."""
+    return {
+        k: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+        for k, v in fit.__dict__.items()
+        if k != "u"
+    } | {"u": fit.u.vector.tobytes()}
+
+
+def fit_or_error(fn, *args):
+    try:
+        return fit_fields(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_uncopied_problem_gives_the_public_problem_results(monkeypatch):
+    rng = RNG(94)
+    cases = []
+    for n, q, k in ((6, 0, 2), (40, 0, 2), (40, 0, 3), (300, 2, 2), (300, 1, 3), (2000, 3, 2)):
+        X = rng.standard_normal((n, q))
+        Y = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 7)
+        u = Direction(rng.standard_normal(k))
+        tau = float(rng.uniform(0.05, 0.95))
+        if abs(n * tau - round(n * tau)) < 1e-3:
+            tau += 2e-3 / n
+        cases.append((X, Y, tau, u))
+    # u'y overflows on finite data: both hand-offs refuse it the same way
+    big = np.array([[1.7e308, 1.7e308], [0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
+    cases.append((np.empty((4, 0)), big, 0.3001, Direction([1.0, 1.0])))
+    cases.append((np.ones((4, 1)), big, 0.3001, Direction([1.0, 1.0])))
+
+    def run():
+        out = []
+        for X, Y, tau, u in cases:
+            out.append(fit_or_error(regression_quantile, RegressionProblem(X, Y, tau, u)))
+            if X.shape[1] == 0:
+                out.append(fit_or_error(directional_quantile, PointCloud(Y), tau, u))
+        return out
+
+    with np.errstate(over="ignore"):
+        got = run()
+        monkeypatch.setattr(regression_module, "_reduced_problem", public_reduced_problem)
+        monkeypatch.setattr(directional_module, "_reduced_problem", public_reduced_problem)
+        want = run()
+    assert got == want
+    assert want[-1] == want[-2] == want[-3] == (DimensionMismatch, "inputs must be finite")
