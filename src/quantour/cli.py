@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -652,6 +653,7 @@ def run(args) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quantour",
@@ -719,6 +721,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line (default sys.argv[1:]) and return its exit code.
+
+    The parser is built once per process; every call gets a fresh Namespace.
+    """
     args = _build_parser().parse_args(argv)
     args.warnings = []
     return run(args)

@@ -255,25 +255,28 @@ def hausdorff_distance(a: ConvexRegion2D, b: ConvexRegion2D) -> float:
 def _dedupe_directions(B: np.ndarray, A: np.ndarray):
     """Merge halfplanes with the same unit normal, keeping the largest offset.
 
-    Returns (B, A, angles) sorted by polar angle of the normal.
+    Returns (B, A, angles) sorted by polar angle of the normal.  A row is
+    dropped when within UNIT_TOL of the last kept row, which needs it within
+    UNIT_TOL of its predecessor: the loop visits only such rows.
     """
     angles = np.arctan2(B[:, 1], B[:, 0])
     order = np.lexsort((-A, angles))
     B, A, angles = B[order], A[order], angles[order]
-    keep_B, keep_A, keep_ang = [], [], []
-    for i in range(len(A)):
-        if keep_ang and abs(angles[i] - keep_ang[-1]) <= UNIT_TOL:
-            # same direction: the earlier (larger A) entry dominates
-            continue
-        keep_B.append(B[i])
-        keep_A.append(A[i])
-        keep_ang.append(angles[i])
+    keep = np.ones(A.shape[0], dtype=bool)
+    kept = 0  # the last kept row before row i + 1
+    for i in (np.abs(np.diff(angles)) <= UNIT_TOL).nonzero()[0].tolist():
+        if keep[i]:
+            kept = i
+        # same direction as row `kept`: the earlier (larger A) entry dominates
+        if abs(angles[i + 1] - angles[kept]) <= UNIT_TOL:
+            keep[i + 1] = False
+    B, A, angles = B[keep], A[keep], angles[keep]
     # wraparound: angles near -pi and near pi are the same direction
-    if len(keep_ang) >= 2 and (keep_ang[0] + 2 * np.pi) - keep_ang[-1] <= UNIT_TOL:
-        if keep_A[-1] > keep_A[0]:
-            keep_B[0], keep_A[0], keep_ang[0] = keep_B[-1], keep_A[-1], keep_ang[-1] - 2 * np.pi
-        del keep_B[-1], keep_A[-1], keep_ang[-1]
-    return np.array(keep_B), np.array(keep_A), np.array(keep_ang)
+    if A.shape[0] >= 2 and (angles[0] + 2 * np.pi) - angles[-1] <= UNIT_TOL:
+        if A[-1] > A[0]:
+            B[0], A[0], angles[0] = B[-1], A[-1], angles[-1] - 2 * np.pi
+        B, A, angles = B[:-1], A[:-1], angles[:-1]
+    return B, A, angles
 
 
 def _clip(V: np.ndarray, b: np.ndarray, a: float, eps: float) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DegenerateDesign,
@@ -116,17 +117,48 @@ class QrSolution:
     psi : (n,) full subgradient weights; tau / tau-1 off the basis, duals on it.
     n_below, n_above : strict residual sign counts.
     pivots : basis exchanges performed.
+    tau, ztol : level and residual tolerance of the solve; objective, n_below
+        and n_above are computed from them on access (sweep probes never read them).
     """
 
     beta: np.ndarray
     fitted: tuple
     residuals: np.ndarray
-    objective: float
     duals: np.ndarray
     psi: np.ndarray
-    n_below: int
-    n_above: int
     pivots: int
+    tau: float
+    ztol: float
+
+    @property
+    def objective(self) -> float:
+        return float((self.residuals * (self.tau - (self.residuals < 0.0))).sum())
+
+    @property
+    def n_below(self) -> int:
+        return int(np.count_nonzero(self.residuals <= -self.ztol))
+
+    @property
+    def n_above(self) -> int:
+        return int(np.count_nonzero(self.residuals >= self.ztol))
+
+
+def _lapack(gufunc, signature, message, *args):
+    """gufunc(*args) under np.linalg's error state, raising its LinAlgError."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(*args, signature=signature)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for float (p, p) a and (p,) b, without its checks."""
+    return _lapack(_umath_linalg.solve1, "dd->d", "Singular matrix", a, b)
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(a, compute_uv=False) for a float (p, p) a, without its checks."""
+    return _lapack(_umath_linalg.svd, "d->d", "SVD did not converge", a)
 
 
 def _stable_prefixes(values: np.ndarray, k: int):
@@ -163,7 +195,7 @@ def _initial_basis(y: np.ndarray, X: np.ndarray, requested) -> np.ndarray:
             # reject singular warm starts, fall through to the cold start;
             # np.linalg.matrix_rank's rule: every singular value above
             # max * p * eps (LAPACK returns them in descending order)
-            S = np.linalg.svd(X[B], compute_uv=False)
+            S = _singular_values(X[B])
             if S[-1] > S[0] * (p * np.finfo(float).eps):
                 return B.copy()
     beta0, *_ = np.linalg.lstsq(X, y, rcond=None)
@@ -294,7 +326,7 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
         sigma = -1.0 if over[pos] > under[pos] else 1.0
         e = np.zeros(p)
         e[pos] = sigma
-        delta = np.linalg.solve(X[B], e)
+        delta = _solve(X[B], e)
         s = X @ delta
         slope0 = (tau - v[pos]) if sigma < 0 else (v[pos] + 1.0 - tau)
         t_star, enter = _line_search(r, s, in_basis, ztol, slope0)
@@ -308,14 +340,14 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
 
     B, beta, r, psi, v, in_basis = _canonicalize(y, X, tau, B, ztol, (beta, r, psi, v, in_basis))
 
-    # certificates: dual box, zero gradient, and vertex uniqueness
-    if any(x > tau + CERT_DUAL_TOL or x < tau - 1.0 - CERT_DUAL_TOL for x in v.tolist()):
+    # certificates: dual box, zero gradient, and vertex uniqueness; NaN fails both
+    if not all(tau - 1.0 - CERT_DUAL_TOL <= x <= tau + CERT_DUAL_TOL for x in v.tolist()):
         raise NoConvergence("dual feasibility certificate failed")
     psi_full = psi.copy()
     psi_full[B] = v
     grad = X.T @ psi_full
     scale = 1.0 + float(np.abs(X).max())
-    if float(np.abs(grad).max()) > CERT_GRAD_TOL * scale:
+    if not float(np.abs(grad).max()) <= CERT_GRAD_TOL * scale:
         raise NoConvergence("zero-gradient certificate failed")
     stray = ((np.abs(r) < ztol) & ~in_basis).nonzero()[0]
     if stray.size:
@@ -332,12 +364,11 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
         beta=beta,
         fitted=tuple(B[order].tolist()),
         residuals=r,
-        objective=float((r * (tau - (r < 0.0))).sum()),  # check_loss minus its tau check
         duals=duals,
         psi=psi_full,
-        n_below=int(np.count_nonzero(r <= -ztol)),
-        n_above=int(np.count_nonzero(r >= ztol)),
         pivots=pivots,
+        tau=tau,
+        ztol=ztol,
     )
 
 
@@ -349,11 +380,11 @@ def _vertex(y, X, tau, B, in_basis, ztol):
     """
     XB = X[B]
     try:
-        beta = np.linalg.solve(XB, y[B])
+        beta = _solve(XB, y[B])
         r = y - X @ beta
         r[B] = 0.0
         psi = np.where(r <= -ztol, tau - 1.0, tau)
-        v = np.linalg.solve(XB.T, -_off_basis_gradient(X, psi, in_basis))
+        v = _solve(XB.T, -_off_basis_gradient(X, psi, in_basis))
     except np.linalg.LinAlgError:
         raise DegenerateDesign("fitted rows became singular during exchange")
     return beta, r, psi, v
@@ -381,7 +412,7 @@ def _canonicalize(y, X, tau, B, ztol, current):
                 continue
             e = np.zeros(p)
             e[pos] = sigma
-            delta = np.linalg.solve(X[B], e)
+            delta = _solve(X[B], e)
             s = X @ delta
             t_star, enter = _line_search(r, s, mask, ztol, 0.0)
             if enter is None or t_star <= 1e-12:
@@ -413,6 +444,6 @@ def dual_weights(solution: QrSolution, problem: QrProblem) -> np.ndarray:
     psi = np.where(r < 0.0, problem.tau - 1.0, problem.tau)
     g = _off_basis_gradient(problem.X, psi, mask)
     try:
-        return np.linalg.solve(problem.X[B].T, -g)
+        return _solve(problem.X[B].T, -g)
     except np.linalg.LinAlgError:
         raise SingularSystem("fitted block is singular")

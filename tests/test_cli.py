@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quantour import EmptyInput, HeaderMismatch, ParseError
+from quantour import cli as cli_module
 from quantour.cli import ingest_csv, main, region_from_payload
 
 FIXTURES = resources.files("quantour") / "fixtures"
@@ -341,3 +342,41 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 13  # header + 12 arcs
     assert lines[0].startswith("start,end")
+
+
+# every subcommand with flags set, then with defaults, so a value that
+# leaked from one call into the next would show
+PARSE_SEQUENCE = [
+    ["quantile", "-i", HEX, "--tau", "0.3", "--u", "0,1", "--format", "csv", "--seed", "4"],
+    ["quantile", "-i", HEX, "--tau", "0.3", "--u", "1,0"],
+    ["contour", "-i", HEX, "--tau", "0.25", "--method", "enumerate", "--json-errors"],
+    ["contour", "-i", HEX, "--tau", "0.25"],
+    ["depth", "-i", HEX, "--x", "0.1,0.2", "--jitter", "0"],
+    ["depth", "-i", HEX],
+    ["km", "-i", HEX, "--tau", "0.25", "--K", "7", "--phase", "0.5", "-o", "x.json"],
+    ["km", "-i", HEX, "--tau", "0.25"],
+    ["scan", "-i", HEX, "--tau", "0.25", "--K", "8", "--flag-c", "2"],
+    ["scan", "-i", HEX, "--tau", "0.25"],
+    ["regress", "-i", HEX, "--tau", "0.2", "--u", "0,1", "--bins", "3", "--x0", "1", "--grid", "9"],
+    ["regress", "-i", HEX, "--tau", "0.2", "--u", "0,1"],
+    ["fig2", "--seed", "3", "--output-dir", "d", "--format", "csv"],
+    ["fig2"],
+]
+
+
+def test_reused_parser_matches_a_fresh_one(monkeypatch):
+    seen = []
+
+    def run(args):
+        seen.append(args)
+        args.warnings.append("from this call")
+        return 0
+
+    monkeypatch.setattr(cli_module, "run", run)
+    for argv in PARSE_SEQUENCE * 2:
+        assert main(argv) == 0
+        fresh = vars(cli_module._build_parser.__wrapped__().parse_args(argv))
+        assert vars(seen[-1]) == dict(fresh, warnings=["from this call"]), argv
+    # one parser, and a new Namespace and warnings list per call
+    assert cli_module._build_parser() is cli_module._build_parser()
+    assert len({id(a) for a in seen}) == len({id(a.warnings) for a in seen}) == len(seen)

@@ -310,3 +310,62 @@ def test_clip_matches_roll_reference():
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
         seen.add("none" if got.shape[0] == 0 else "all" if got is V else "cut")
     assert seen == {"none", "all", "cut"}
+
+
+def reference_dedupe_directions(B, A):
+    """The former one-row-at-a-time dedupe, kept verbatim as the oracle."""
+    UNIT_TOL = geometry_module.UNIT_TOL
+    angles = np.arctan2(B[:, 1], B[:, 0])
+    order = np.lexsort((-A, angles))
+    B, A, angles = B[order], A[order], angles[order]
+    keep_B, keep_A, keep_ang = [], [], []
+    for i in range(len(A)):
+        if keep_ang and abs(angles[i] - keep_ang[-1]) <= UNIT_TOL:
+            # same direction: the earlier (larger A) entry dominates
+            continue
+        keep_B.append(B[i])
+        keep_A.append(A[i])
+        keep_ang.append(angles[i])
+    # wraparound: angles near -pi and near pi are the same direction
+    if len(keep_ang) >= 2 and (keep_ang[0] + 2 * np.pi) - keep_ang[-1] <= UNIT_TOL:
+        if keep_A[-1] > keep_A[0]:
+            keep_B[0], keep_A[0], keep_ang[0] = keep_B[-1], keep_A[-1], keep_ang[-1] - 2 * np.pi
+        del keep_B[-1], keep_A[-1], keep_ang[-1]
+    return np.array(keep_B), np.array(keep_A), np.array(keep_ang)
+
+
+def test_dedupe_directions_matches_loop_reference():
+    rng = RNG(97)
+    tol = geometry_module.UNIT_TOL
+    seen = set()
+    for trial in range(2000):
+        m = int(rng.integers(1, 40))
+        angles = rng.uniform(-np.pi, np.pi, m)
+        kind = trial % 4
+        if kind == 1:
+            # planted runs of near-equal angles, gaps around UNIT_TOL, so a
+            # row may be dropped against a kept row that is not its predecessor
+            for start in rng.integers(0, m, size=3):
+                run = angles[start] + np.cumsum(rng.choice([0.0, 0.4, 0.6, 0.9, 1.1], 6)) * tol
+                angles = np.concatenate([angles, run])
+        elif kind == 2:
+            # exact repeats
+            angles = np.concatenate([angles, rng.choice(angles, m)])
+        B = np.column_stack([np.cos(angles), np.sin(angles)])
+        if kind == 3:
+            # normals at +-pi, on both sides of the wraparound
+            edge = np.array([[-1.0, 0.0], [-1.0, -0.0], [-1.0, 0.5 * tol], [-1.0, -0.5 * tol],
+                             [-1.0, 2.0 * tol], [-1.0, -2.0 * tol]])
+            B = np.concatenate([B, edge[rng.permutation(6)[: int(rng.integers(1, 7))]]])
+        A = rng.standard_normal(B.shape[0])
+        if trial % 3 == 0:
+            A = np.round(A)  # ties in A too
+        got = geometry_module._dedupe_directions(B, A)
+        want = reference_dedupe_directions(B, A)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), trial
+        if got[0].shape[0] < B.shape[0]:
+            seen.add("merged")
+        if got[2][0] < -np.pi:
+            seen.add("wrapped")
+    assert seen == {"merged", "wrapped"}

@@ -18,6 +18,7 @@ from quantour import (
     DegenerateDesign,
     DegenerateTau,
     DimensionMismatch,
+    NoConvergence,
     QrProblem,
     TauOutOfRange,
     check_loss,
@@ -556,13 +557,20 @@ def reference_canonicalize(y, X, tau, B, ztol, current):
     return B, beta, r, psi, v, mask
 
 
+# every output of a solve: the former solution's fields, which QrSolution
+# holds as fields or, for the summaries, computes on access
+OUTPUT_FIELDS = (
+    "beta", "fitted", "residuals", "objective", "duals", "psi", "n_below", "n_above", "pivots"
+)
+
+
 def outcome(solve, *args, **kwargs):
     """Every output field as bytes, or the exception's type and message."""
     try:
         sol = solve(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
-    fields = sol if isinstance(sol, dict) else sol.__dict__
+    fields = sol if isinstance(sol, dict) else {k: getattr(sol, k) for k in OUTPUT_FIELDS}
     return {
         k: (np.asarray(f).dtype, np.asarray(f).tobytes()) if isinstance(f, np.ndarray) else f
         for k, f in fields.items()
@@ -627,8 +635,9 @@ def dual_edges(tau):
 def test_optimality_and_tie_tests_mirror_numpy(special, warm, monkeypatch):
     # dual weights that are NaN, infinite, or on the DUAL_TOL and TIE_TOL
     # edges, put into one slot of the dual vector at one _vertex call of
-    # both loops: the same pivots, certificates and errors come out.  A
-    # warm start at the optimum makes call 0 the optimal vertex, where
+    # both loops: the same pivots, certificates and errors come out, except
+    # that a NaN dual the former certificates passed now fails the dual box.
+    # A warm start at the optimum makes call 0 the optimal vertex, where
     # the other duals lie inside the box.
     tau = 0.3001
     y, X = regression_design(RNG(49), 60, 3)
@@ -654,4 +663,72 @@ def test_optimality_and_tie_tests_mirror_numpy(special, warm, monkeypatch):
                     monkeypatch.setattr(qr_module, "_vertex", vertex)
                     with np.errstate(invalid="ignore", over="ignore"):
                         outcomes.append(outcome(solve, problem, start))
-                assert outcomes[0] == outcomes[1], (value, call, slot)
+                got, want = outcomes
+                if isinstance(want, dict) and np.isnan(np.frombuffer(want["duals"][1])).any():
+                    want = (NoConvergence, "dual feasibility certificate failed")
+                assert got == want, (value, call, slot)
+
+
+def test_nan_fails_both_certificates(monkeypatch):
+    # a NaN dual weight at the optimal vertex fails the dual box, and a
+    # NaN off-basis weight, which leaves the duals finite, fails the
+    # gradient test
+    y, X = regression_design(RNG(50), 60, 3)
+    problem = QrProblem(y, X, 0.3001)
+    start = solve_qr(problem).fitted
+    real_vertex = qr_module._vertex
+
+    def nan_dual(*args):
+        beta, r, psi, v = real_vertex(*args)
+        return beta, r, psi, np.where(np.arange(v.size) == 1, np.nan, v)
+
+    def nan_weight(*args):
+        beta, r, psi, v = real_vertex(*args)
+        psi = psi.copy()
+        psi[(r != 0.0).argmax()] = np.nan
+        return beta, r, psi, v
+
+    for vertex, message in ((nan_dual, "dual feasibility"), (nan_weight, "zero-gradient")):
+        monkeypatch.setattr(qr_module, "_vertex", vertex)
+        with pytest.raises(NoConvergence, match=f"^{message} certificate failed$"):
+            solve_qr(problem, start)
+
+
+def lapack_blocks(p):
+    """Random, near-singular and transposed (non-contiguous) float blocks."""
+    rng = RNG(51 + p)
+    blocks = []
+    for _ in range(20):
+        A = rng.standard_normal((p, p))
+        blocks += [A, A.T, np.column_stack([np.ones(p), A[:, 1:]]).T]
+        near = A.copy()
+        near[-1] = near[0] + 1e-13 * rng.standard_normal(p)
+        blocks += [near, near.T]
+    return rng, blocks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lapack_helpers_match_numpy(p):
+    rng, blocks = lapack_blocks(p)
+    for A in blocks:
+        b = rng.standard_normal(p)
+        assert np.array_equal(qr_module._solve(A, b), np.linalg.solve(A, b))
+        assert np.array_equal(
+            qr_module._singular_values(A), np.linalg.svd(A, compute_uv=False)
+        )
+    assert not blocks[1].flags.c_contiguous
+
+
+def test_singular_block_raises_numpys_error():
+    A = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for solve in (np.linalg.solve, qr_module._solve):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            solve(A, np.ones(2))
+    # a design whose basis rows coincide: _vertex maps the error
+    X = np.column_stack([np.ones(4), [0.0, 0.0, 1.0, 2.0]])
+    y = np.array([0.0, 1.0, 2.0, 3.0])
+    B = np.array([0, 1])
+    mask = np.zeros(4, dtype=bool)
+    mask[B] = True
+    with pytest.raises(DegenerateDesign, match="became singular"):
+        qr_module._vertex(y, X, 0.3, B, mask, 1e-10)
