@@ -20,10 +20,13 @@ def main():
     res = sweep(hexagon, 0.25)
     print(f"hexagon, tau = 0.25: {len(res.arcs)} arcs, {res.n_pivots} pivots")
     print(f"{'start':>9} {'end':>9} {'width':>8} fitted  n_below")
-    for arc in res.arcs:
+    # one table row per arc: bounds, fitted pair, points below the line
+    for (start, end), fitted, n_below in zip(
+        np.degrees(res.arcs).tolist(), res.fitted.tolist(), res.n_below.tolist()
+    ):
         print(
-            f"{np.degrees(arc.start):>8.3f}d {np.degrees(arc.end):>8.3f}d "
-            f"{np.degrees(arc.width):>7.3f}d {arc.fitted}   {arc.hyperplane.n_below}"
+            f"{start:>8.3f}d {end:>8.3f}d {end - start:>7.3f}d "
+            f"{tuple(fitted)}   {n_below}"
         )
 
     region = fixed_tau_region(res)
@@ -36,9 +39,10 @@ def main():
 
     # the independent enumeration route must agree arc for arc
     enu = sweep(hexagon, 0.25, method="enumerate")
-    agree = all(
-        abs(a.start - b.start) < 1e-9 and set(a.fitted) == set(b.fitted)
-        for a, b in zip(res.arcs, enu.arcs)
+    agree = (
+        len(res.arcs) == len(enu.arcs)
+        and np.abs(res.arcs - enu.arcs).max() < 1e-9
+        and (np.sort(res.fitted, axis=1) == np.sort(enu.fitted, axis=1)).all()
     )
     print(f"\nparametric vs enumerate: {'identical' if agree else 'MISMATCH'}")
 

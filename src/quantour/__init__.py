@@ -53,7 +53,6 @@ from .depth import (
     depth_region_bruteforce_2d,
 )
 from .contour import (
-    SweepArc,
     SweepResult,
     fixed_tau_region,
     probability_contents,

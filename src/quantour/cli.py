@@ -48,7 +48,7 @@ from .errors import (
     ParseError,
     QuantourError,
 )
-from .geometry import BOUNDED, EMPTY, OUTSIDE, ConvexRegion2D, Direction
+from .geometry import BOUNDED, OUTSIDE, ConvexRegion2D, Direction
 from .km import EnvelopeConfig, compare_regions, km_envelope
 from .regression import (
     RegressionProblem,
@@ -172,10 +172,9 @@ def region_payload(region: ConvexRegion2D) -> dict:
 
 
 def region_from_payload(payload: dict) -> ConvexRegion2D:
-    """Rebuild a region from its JSON payload (round-trip helper)."""
-    if payload["status"] == EMPTY or not payload["vertices"]:
-        return ConvexRegion2D.empty()
-    return ConvexRegion2D.from_vertices(np.array(payload["vertices"], dtype=float))
+    """Rebuild a region from its JSON payload: status, vertices, halfplane rows."""
+    rows = [[*h["b"], h["a"]] for h in payload["halfplanes"]]
+    return ConvexRegion2D(payload["vertices"], rows, payload["status"])
 
 
 def _hyperplane_payload(h) -> dict:
@@ -344,15 +343,22 @@ def _cmd_contour(args):
     res = sweep(cloud, args.tau, method=args.method)
     region = fixed_tau_region(res)
     prob = probability_contents(region, cloud)
-    arcs = [
-        {
-            "start": arc.start,
-            "end": arc.end,
-            "orientation": arc.orientation,
-            "hyperplane": _hyperplane_payload(arc.hyperplane),
+    rows = [["start", "end", "orientation", "i", "j", "a", "b1", "b2",
+             "multiplier", "n_below"]]
+    arcs = []
+    table = zip(res.arcs.tolist(), res.orientation.tolist(), res.u.tolist(),
+                res.halfplanes.tolist(), res.c.tolist(), res.multiplier.tolist(),
+                res.fitted.tolist(), res.duals.tolist(), res.n_below.tolist())
+    for (start, end), s, u, (b1, b2, a), c, mult, (i, j), duals, below in table:
+        hyperplane = {
+            "tau": res.tau, "u": u, "a": a, "b": [b1, b2], "c": c,
+            "multiplier": mult, "fitted": [i, j], "duals": duals,
+            "counts": [below, 2, cloud.n - 2 - below],
         }
-        for arc in res.arcs
-    ]
+        arcs.append({"start": start, "end": end, "orientation": s,
+                     "hyperplane": hyperplane})
+        rows.append([repr(start), repr(end), s, i, j, repr(a), repr(b1),
+                     repr(b2), repr(mult), below])
     payload = {
         "meta": _meta(args, cloud, method=res.method, n_pivots=res.n_pivots),
         "result": {
@@ -361,15 +367,6 @@ def _cmd_contour(args):
             "probability": prob,
         },
     }
-    rows = [["start", "end", "orientation", "i", "j", "a", "b1", "b2",
-             "multiplier", "n_below"]]
-    for arc in res.arcs:
-        h = arc.hyperplane
-        rows.append([
-            repr(arc.start), repr(arc.end), arc.orientation, h.fitted[0],
-            h.fitted[1], repr(h.a), repr(float(h.b[0])), repr(float(h.b[1])),
-            repr(h.multiplier), h.n_below,
-        ])
     svg = None
     if args.fmt == "svg":
         svg = _svg_cloud_region(cloud, region=region)
@@ -378,9 +375,9 @@ def _cmd_contour(args):
 
 def _cmd_depth(args):
     x = None if args.x is None else _parse_vector(args.x, 2)
-    cloud = _load_cloud(args)
     if x is None and args.tau is None:
         raise ValueError("depth needs --x for a point or --tau for a region")
+    cloud = _load_cloud(args)
     result = {}
     rows = [["field", "value"]]
     region = None
@@ -401,8 +398,8 @@ def _cmd_depth(args):
 
 
 def _cmd_km(args):
-    cloud = _load_cloud(args)
     cfg = EnvelopeConfig(K=args.K, tau=args.tau, phase=args.phase)
+    cloud = _load_cloud(args)
     envelope = km_envelope(cloud, cfg)
     exact = fixed_tau_region(sweep(cloud, args.tau))
     comparison = compare_regions(exact, envelope)
@@ -438,6 +435,8 @@ def _cmd_km(args):
 
 
 def _cmd_scan(args):
+    if args.K < 1:
+        raise ValueError(f"scan needs at least one direction, got --K {args.K}")
     cloud = _load_cloud(args)
     directions = [
         Direction.from_angle(2.0 * np.pi * j / args.K) for j in range(args.K)
@@ -464,13 +463,15 @@ def _cmd_regress(args):
     x0 = None if args.x0 is None else _parse_vector(args.x0)
     kind, data, warnings = ingest_csv(args.input)
     args.warnings.extend(warnings)
-    if kind == "cloud":
-        data = _heal_cloud(args, data)
-        X = np.zeros((data.n, 0))
-        Y = data.points
-    else:
-        X, Y = data
+    X, Y = (np.zeros((data.n, 0)), data.points) if kind == "cloud" else data
     k = Y.shape[1]
+    if x0 is not None:
+        if k != 2:
+            raise ValueError("cuts are defined for k=2 response spaces")
+        if len(x0) != X.shape[1]:
+            raise ValueError(f"--x0 has {len(x0)} coordinates, the design has {X.shape[1]} regressors")
+    if kind == "cloud":
+        Y = _heal_cloud(args, data).points
     u = Direction(np.array(_parse_vector(args.u, k), dtype=float))
     rp = RegressionProblem(X, Y, args.tau, u)
     q = regression_quantile(rp)
@@ -491,8 +492,6 @@ def _cmd_regress(args):
             "bin_counts": list(diag.bin_counts),
         }
     if x0 is not None:
-        if k != 2:
-            raise ValueError("cuts are defined for k=2 response spaces")
         models = [
             regression_quantile(RegressionProblem(X, Y, args.tau, d))
             for d in response_direction_grid(args.grid)

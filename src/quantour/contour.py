@@ -16,17 +16,17 @@ identity, coverage bound) in blocks of arcs: arrays of arcs x points, with
 one stacked LAPACK solve per block for all the 3 x 3 stationarity systems.
 Per arc, the block performs the floating-point operations of the one-arc
 formulas through the same BLAS and LAPACK kernels, so every emitted bit is
-the one a per-arc computation gives.
+the one a per-arc computation gives.  The blocks' columns are joined into
+one table, SweepResult, with a row per arc.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .cloud import PointCloud
-from .directional import QuantileHyperplane
 from .errors import (
     ArcGap,
     DegenerateData,
@@ -38,7 +38,6 @@ from .errors import (
 from .geometry import (
     OUTSIDE,
     ConvexRegion2D,
-    Direction,
     intersect_halfplanes_2d,
     vector_norm,
 )
@@ -59,41 +58,37 @@ _UNIT = np.eye(2)
 
 
 @dataclass(frozen=True)
-class SweepArc:
-    """Angular validity interval of one hyperplane.
+class SweepResult:
+    """Complete finite collection of tau-u hyperplanes over the circle.
 
-    start is in [0, 2 pi); end may exceed 2 pi for the single arc that
-    wraps through zero.  The hyperplane is the representative evaluated
-    at the arc midpoint; its line and orientation are constant over the
-    arc even though (a, b) renormalize with u.
+    A table of read-only columns with one row per arc, in angular order:
+    arcs (m, 2) holds the bounds (start, end), start in [0, 2 pi), end past
+    2 pi only for the arc through zero; fitted (m, 2) the pair (i, j) on the
+    arc's line; orientation (m,) the sign of perp(z_j - z_i)'u on the arc.
+    The rest are the QuantileHyperplane fields of the arc-midpoint
+    representative: u (m, 2), halfplanes (m, 3) rows (b_1, b_2, a) of
+    {z : b'z >= a}, c (m, 1), multiplier (m,), duals (m, 2) and n_below (m,);
+    n_above is n - 2 - n_below.  The line and orientation hold over the
+    whole arc, while (a, b) renormalize with u.  n_pivots counts the
+    parametric march's pivots (0 for "enumerate").
     """
 
-    start: float
-    end: float
-    hyperplane: QuantileHyperplane
-    orientation: int
-
-    @property
-    def width(self) -> float:
-        return self.end - self.start
-
-    @property
-    def fitted(self) -> tuple:
-        return self.hyperplane.fitted
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Complete finite collection of tau-u hyperplanes over the circle."""
-
     tau: float
-    arcs: tuple
     n_pivots: int
     method: str
+    arcs: np.ndarray
+    fitted: np.ndarray
+    orientation: np.ndarray
+    u: np.ndarray
+    halfplanes: np.ndarray
+    c: np.ndarray
+    multiplier: np.ndarray
+    duals: np.ndarray
+    n_below: np.ndarray
 
-    @property
-    def hyperplanes(self) -> tuple:
-        return tuple(arc.hyperplane for arc in self.arcs)
+    def __post_init__(self):
+        for column in fields(self)[3:]:  # the per-arc columns
+            getattr(self, column.name).setflags(write=False)
 
 
 def _perp(v):
@@ -226,8 +221,7 @@ def sweep(cloud: PointCloud, tau: float, method: str = "parametric") -> SweepRes
     else:
         raise ValueError(f"unknown sweep method {method!r}")
 
-    arcs = _finalize(cloud.points, tau, raw)
-    return SweepResult(tau=tau, arcs=arcs, n_pivots=pivots, method=method)
+    return SweepResult(tau, pivots, method, *_finalize(cloud.points, tau, raw))
 
 
 def _march_arcs(cloud: PointCloud, tau: float, scale: float):
@@ -315,7 +309,10 @@ def _enumerate_arcs(z, tau, scale):
 
 
 def _finalize(z, tau, raw):
-    """Normalize records, verify the tiling and key uniqueness, build arcs."""
+    """Normalize records, verify the tiling and key uniqueness, certify.
+
+    Returns SweepResult's columns, in its field order.
+    """
     if not raw:
         raise ArcGap("no arcs produced")
     # normalize starts into [0, 2 pi) keeping widths
@@ -349,17 +346,18 @@ def _finalize(z, tau, raw):
         raise ArcGap("a fitted pair + orientation occurs in two disjoint arcs")
 
     per_block = max(1, _CERT_BLOCK_ELEMENTS // z.shape[0])
-    arcs = []
-    for begin in range(0, len(norm), per_block):
-        arcs.extend(_certify_block(z, tau, norm[begin : begin + per_block]))
-    return tuple(arcs)
+    blocks = [
+        _certify_block(z, tau, norm[begin : begin + per_block])
+        for begin in range(0, len(norm), per_block)
+    ]
+    return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
 def _certify_block(z, tau, recs):
-    """Certified representative hyperplanes of a run of normalized records.
+    """SweepResult's columns for a run of normalized records.
 
     Each record (start, end, i, j, s) gets the hyperplane of basis (i, j)
-    with orientation s at its arc midpoint: (a, b, c), the side counts,
+    with orientation s at its arc midpoint: (a, b, c), the count below,
     and the multiplier and fitted duals of the stationarity system.  Every
     arc then passes, in this order, the orientation cone, the dual box,
     the multiplier identity and the coverage bound; any failure is a sweep
@@ -372,8 +370,7 @@ def _certify_block(z, tau, recs):
     n, m = z.shape[0], len(recs)
     start, end, fi, fj, s = (np.array(col) for col in zip(*recs))
     phi = np.remainder(0.5 * (start + end), TWO_PI)
-    dirs = [Direction.from_angle(p) for p in phi.tolist()]
-    u = np.array([d.vector for d in dirs])
+    u = _unit_rows(phi)
     zi = z[fi]
     w = z[fj] - zi
     npr = np.column_stack([-w[:, 1], w[:, 0]])
@@ -414,11 +411,15 @@ def _certify_block(z, tau, recs):
     try:
         sol = np.linalg.solve(M, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        # split until the singular arc stands alone; earlier arcs go first
-        if m == 1:
-            raise SingularSystem("stationarity system is singular")
-        half = m // 2
-        return _certify_block(z, tau, recs[:half]) + _certify_block(z, tau, recs[half:])
+        # the arcs before the first singular system are certified first
+        for k in range(m):
+            try:
+                np.linalg.solve(M[k], rhs[k])
+            except np.linalg.LinAlgError:
+                break
+        if k:
+            _certify_block(z, tau, recs[:k])
+        raise SingularSystem("stationarity system is singular")
     mult, duals = sol[:, 0], sol[:, 1:]
 
     r = (z @ b[:, :, None])[..., 0]
@@ -438,23 +439,23 @@ def _certify_block(z, tau, recs):
             )
         raise NoConvergence("coverage bound violated by a sweep representative")
 
-    arcs = []
-    for k, (lo, hi, i, j, orient) in enumerate(recs):
-        below = int(n_below[k])
-        h = QuantileHyperplane(
-            tau=tau,
-            u=dirs[k],
-            a=float(a[k]),
-            b=b[k],
-            c=c[k, None],
-            multiplier=float(mult[k]),
-            fitted=(i, j),
-            duals=duals[k],
-            n_below=below,
-            n_above=n - 2 - below,
-        )
-        arcs.append(SweepArc(start=lo, end=hi, hyperplane=h, orientation=orient))
-    return arcs
+    return (
+        np.column_stack([start, end]),
+        np.column_stack([fi, fj]),
+        s,
+        u,
+        np.column_stack([b, a]),
+        c[:, None],
+        mult,
+        duals,
+        n_below,
+    )
+
+
+def _unit_rows(phi):
+    """Direction.from_angle(p).vector for each angle p of phi, as rows."""
+    u = np.column_stack([np.cos(phi), np.sin(phi)])
+    return u / np.sqrt(np.vecdot(u, u))[:, None]
 
 
 def _complement_rows(u):
@@ -476,8 +477,7 @@ def fixed_tau_region(result: SweepResult) -> ConvexRegion2D:
     tau exceeds the maximum depth.  Facets are a subset of the swept
     hyperplane lines.
     """
-    H = np.array([(*arc.hyperplane.b, arc.hyperplane.a) for arc in result.arcs])
-    return intersect_halfplanes_2d(H, method="lazy")
+    return intersect_halfplanes_2d(result.halfplanes, method="lazy")
 
 
 def probability_contents(region: ConvexRegion2D, cloud: PointCloud) -> float:

@@ -6,9 +6,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from quantour import EmptyInput, HeaderMismatch, ParseError
+from quantour import EmptyInput, HeaderMismatch, ParseError, PointCloud, intersect_halfplanes_2d
 from quantour import cli as cli_module
-from quantour.cli import ingest_csv, main, region_from_payload
+from quantour.cli import ingest_csv, main, region_from_payload, region_payload
 
 FIXTURES = resources.files("quantour") / "fixtures"
 HEX = str(FIXTURES / "hexagon.csv")
@@ -208,6 +208,26 @@ def test_contour_region_roundtrip(capsys):
     assert abs(region.area() - payload["result"]["region"]["area"]) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "rows, status",
+    [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]], "bounded"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "unbounded"),
+        ([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "empty"),
+    ],
+)
+def test_region_payload_roundtrip_keeps_status_and_rows(rows, status):
+    region = intersect_halfplanes_2d(np.array(rows))
+    assert region.status == status
+    payload = json.loads(json.dumps(region_payload(region)))
+    back = region_from_payload(payload)
+    assert back.status == status
+    assert np.array_equal(back.halfplanes, region.halfplanes)
+    assert np.array_equal(back.vertices, region.vertices)
+    assert len(back.halfplanes) == len(rows)
+    assert json.dumps(region_payload(back)) == json.dumps(payload)
+
+
 def test_depth_point_and_region(capsys):
     code = main(["depth", "-i", TRI, "--x", "0.25,0.25", "--tau", "0.3"])
     assert code == 0
@@ -256,6 +276,56 @@ def test_scan_without_directions_exit_1(capsys, K):
     assert main(["scan", "-i", HEX, "--tau", "0.25", f"--K={K}"]) == 1
     assert "at least one direction" in capsys.readouterr().err
     assert main(["scan", "-i", HEX, "--tau", "0.25", "--K", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["depth"], "depth needs --x for a point or --tau for a region"),
+        (["km", "--tau", "0.305", "--K", "2"], "need at least 3 directions, got K=2"),
+        (["scan", "--tau", "0.305", "--K", "0"], "scan needs at least one direction, got --K 0"),
+    ],
+)
+@pytest.mark.parametrize("jitter", ["0", "1e-5"])
+def test_bad_flags_exit_1_before_the_input_is_checked(capsys, monkeypatch, argv, message, jitter):
+    # collinear5 is degenerate: a bad flag must exit before the general-position
+    # check, which would exit 3 without jitter and run the jitter with it
+    def no_check(self):
+        raise AssertionError("the general-position check ran")
+
+    monkeypatch.setattr(PointCloud, "require_general_position", no_check)
+    code = main([argv[0], "-i", COLLINEAR, "--jitter", jitter, *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+def regression_csv(tmp_path, q, k, n=40):
+    rng = np.random.default_rng(q + 10 * k)
+    header = [f"x{i}" for i in range(1, q + 1)] + [f"y{j}" for j in range(1, k + 1)]
+    rows = rng.standard_normal((n, q + k))
+    path = tmp_path / f"r{q}{k}.csv"
+    path.write_text(",".join(header) + "\n" + "\n".join(",".join(map(repr, r)) for r in rows.tolist()) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "q, k, u, x0, message",
+    [
+        (1, 2, "1,0", "0.5,0.5", "--x0 has 2 coordinates, the design has 1 regressors"),
+        (3, 2, "1,0", "0.5", "--x0 has 1 coordinates, the design has 3 regressors"),
+        (1, 3, "1,0,0", "0.5", "cuts are defined for k=2 response spaces"),
+    ],
+)
+def test_regress_rejects_x0_before_fitting(capsys, monkeypatch, tmp_path, q, k, u, x0, message):
+    def no_fit(problem):
+        raise AssertionError("regression_quantile ran")
+
+    monkeypatch.setattr(cli_module, "regression_quantile", no_fit)
+    path = regression_csv(tmp_path, q, k)
+    code = main(["regress", "-i", path, "--tau", "0.305", "--u", u, "--x0", x0, "--grid", "9"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_regress_with_cut_and_coverage(capsys, tmp_path):

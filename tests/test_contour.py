@@ -1,6 +1,7 @@
 """Fixed-tau directional sweep and the resulting contour regions."""
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -56,61 +57,62 @@ def chord_objective(z, tau, pair, phi):
     return float(np.sum(r * (tau - (r < 0.0))))
 
 
+def widths(result):
+    return result.arcs[:, 1] - result.arcs[:, 0]
+
+
 def assert_tiling(result):
-    arcs = result.arcs
-    starts = np.array([a.start for a in arcs])
-    ends = np.array([a.end for a in arcs])
+    starts, ends = result.arcs.T
     assert np.all(np.diff(starts) > 0)
     assert np.allclose(ends[:-1], starts[1:], atol=1e-9)
     assert abs((ends[-1] - TWO_PI) - starts[0]) <= 1e-9
-    assert abs(sum(a.width for a in arcs) - TWO_PI) <= 1e-9
+    assert abs(sum(widths(result).tolist()) - TWO_PI) <= 1e-9
+
+
+def assert_same_arcs(a, b):
+    """Equal arc counts and bounds within 1e-9, the same fitted pairs."""
+    assert len(a.arcs) == len(b.arcs)
+    assert np.abs(a.arcs - b.arcs).max() <= 1e-9
+    assert np.array_equal(np.sort(a.fitted, axis=1), np.sort(b.fitted, axis=1))
 
 
 def test_hexagon_arc_structure(hexagon):
     result = sweep(hexagon, 0.25)
     assert len(result.arcs) == 12
     assert_tiling(result)
-    widths = np.array([a.width for a in result.arcs])
-    side = np.isclose(widths, HEX_SIDE_WIDTH, atol=1e-9)
-    skip = np.isclose(widths, HEX_SKIP_WIDTH, atol=1e-9)
+    side = np.isclose(widths(result), HEX_SIDE_WIDTH, atol=1e-9)
+    skip = np.isclose(widths(result), HEX_SKIP_WIDTH, atol=1e-9)
     assert side.sum() == 6 and skip.sum() == 6
-    for arc, is_side in zip(result.arcs, side):
-        i, j = arc.fitted
+    for (i, j), n_below, is_side in zip(result.fitted.tolist(), result.n_below, side):
         gap = min((j - i) % 6, (i - j) % 6)
         if is_side:
             # polygon side: adjacent vertices, nothing strictly below
             assert gap == 1
-            assert arc.hyperplane.n_below == 0
+            assert n_below == 0
         else:
             # skip chord: one vertex strictly below
             assert gap == 2
-            assert arc.hyperplane.n_below == 1
+            assert n_below == 1
 
 
 def test_hexagon_specific_arcs(hexagon):
     result = sweep(hexagon, 0.25)
     by_angle = {}
     for probe in (0.0, np.pi / 6.0):
-        for a in result.arcs:
-            if a.start - 1e-12 <= probe < a.end or (
-                a.end > TWO_PI and probe + TWO_PI < a.end
-            ):
-                by_angle[probe] = a
+        for (start, end), fitted in zip(result.arcs.tolist(), result.fitted.tolist()):
+            if start - 1e-12 <= probe < end or (end > TWO_PI and probe + TWO_PI < end):
+                by_angle[probe] = fitted
     # direction (1, 0) fits the vertical chord x = -1/2
-    assert set(by_angle[0.0].fitted) == {2, 4}
+    assert set(by_angle[0.0]) == {2, 4}
     # direction at 30 degrees fits the lower-left side
-    assert set(by_angle[np.pi / 6.0].fitted) == {3, 4}
+    assert set(by_angle[np.pi / 6.0]) == {3, 4}
 
 
 def test_hexagon_methods_agree(hexagon):
     par = sweep(hexagon, 0.25, method="parametric")
     enu = sweep(hexagon, 0.25, method="enumerate")
-    assert len(par.arcs) == len(enu.arcs)
-    for a, b in zip(par.arcs, enu.arcs):
-        assert abs(a.start - b.start) <= 1e-9
-        assert abs(a.end - b.end) <= 1e-9
-        assert set(a.fitted) == set(b.fitted)
-        assert a.orientation == b.orientation
+    assert_same_arcs(par, enu)
+    assert np.array_equal(par.orientation, enu.orientation)
 
 
 def test_hexagon_region(hexagon):
@@ -128,7 +130,7 @@ def test_triangle_sweep(triangle):
     result = sweep(triangle, 0.3)
     # every arc fits a triangle side with nothing below
     assert len(result.arcs) == 3
-    assert all(a.hyperplane.n_below == 0 for a in result.arcs)
+    assert (result.n_below == 0).all()
     region = fixed_tau_region(result)
     assert region.status == BOUNDED
     assert abs(region.area() - 0.5) <= 1e-12
@@ -139,11 +141,11 @@ def test_boundary_objective_ties(hexagon):
     # at an arc boundary the incoming and outgoing chords tie exactly
     z = hexagon.points
     result = sweep(hexagon, 0.25)
-    arcs = list(result.arcs)
-    for a, b in zip(arcs, arcs[1:] + [arcs[0]]):
-        phi = a.end if a.end < TWO_PI else a.end - TWO_PI
-        fa = chord_objective(z, 0.25, a.fitted, phi)
-        fb = chord_objective(z, 0.25, b.fitted, phi)
+    fitted = result.fitted.tolist()
+    for end, a, b in zip(result.arcs[:, 1].tolist(), fitted, fitted[1:] + fitted[:1]):
+        phi = end if end < TWO_PI else end - TWO_PI
+        fa = chord_objective(z, 0.25, a, phi)
+        fb = chord_objective(z, 0.25, b, phi)
         assert abs(fa - fb) <= 1e-9 * (1.0 + abs(fa))
 
 
@@ -156,8 +158,8 @@ def test_midpoint_global_optimality():
         z = cloud.points
         n = cloud.n
         result = sweep(cloud, tau)
-        for arc in result.arcs:
-            mid = 0.5 * (arc.start + arc.end)
+        for (start, end), fitted in zip(result.arcs.tolist(), result.fitted.tolist()):
+            mid = 0.5 * (start + end)
             u = np.array([np.cos(mid), np.sin(mid)])
             best = np.inf
             for i in range(n):
@@ -169,7 +171,7 @@ def test_midpoint_global_optimality():
                     if abs(dn) < 1e-12:
                         continue
                     best = min(best, chord_objective(z, tau, (i, j), mid))
-            got = chord_objective(z, tau, arc.fitted, mid)
+            got = chord_objective(z, tau, fitted, mid)
             assert abs(got - best) <= 1e-9 * (1.0 + abs(best))
 
 
@@ -184,11 +186,7 @@ def test_parametric_matches_enumeration():
             tau += 1.3e-3
         par = sweep(cloud, tau, method="parametric")
         enu = sweep(cloud, tau, method="enumerate")
-        assert len(par.arcs) == len(enu.arcs)
-        for a, b in zip(par.arcs, enu.arcs):
-            assert abs(a.start - b.start) <= 1e-9
-            assert abs(a.end - b.end) <= 1e-9
-            assert set(a.fitted) == set(b.fitted)
+        assert_same_arcs(par, enu)
         assert_tiling(par)
 
 
@@ -211,7 +209,7 @@ def test_region_facets_come_from_swept_lines():
     result = sweep(cloud, 0.178)
     region = fixed_tau_region(result)
     assert region.status == BOUNDED
-    lines = [(h.b, h.a) for h in result.hyperplanes]
+    lines = [(h[:2], h[2]) for h in result.halfplanes]
     for facet in region.halfplanes:
         hit = False
         for b, a in lines:
@@ -282,9 +280,11 @@ def test_sweep_determinism():
     cloud = make_cloud(79, 40)
     a = sweep(cloud, 0.101)
     b = sweep(cloud, 0.101)
-    assert len(a.arcs) == len(b.arcs)
-    for x, y in zip(a.arcs, b.arcs):
-        assert x.start == y.start and x.end == y.end and x.fitted == y.fitted
+    assert np.array_equal(a.arcs, b.arcs) and np.array_equal(a.fitted, b.fitted)
+    # one read-only column per arc field, one row per arc
+    for column in fields(SweepResult)[3:]:
+        col = getattr(a, column.name)
+        assert len(col) == len(a.arcs) and not col.flags.writeable, column.name
 
 
 # ------------------------------------ the former per-arc routines, verbatim
@@ -415,23 +415,49 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def assert_same_hyperplane(got, want):
+def records(result):
+    """The table's rows as the records (start, end, i, j, s) it was built from."""
+    return [
+        (start, end, i, j, s)
+        for (start, end), (i, j), s in zip(
+            result.arcs.tolist(), result.fitted.tolist(), result.orientation.tolist()
+        )
+    ]
+
+
+def table(z, tau, raw):
+    """_finalize's columns for raw records, as a SweepResult."""
+    return SweepResult(tau, 0, "parametric", *contour_module._finalize(z, tau, raw))
+
+
+def assert_same_hyperplane(result, k, want, n):
+    """Row k of a sweep table on n points holds hyperplane want's fields, bit for bit."""
+    assert result.tau == want.tau
+    b1, b2, a = result.halfplanes[k]
+    assert same_bits(a, want.a), "a"
+    assert same_bits((b1, b2), want.b), "b"
+    for name in ("c", "multiplier", "duals"):
+        assert same_bits(getattr(result, name)[k], getattr(want, name)), name
+    assert same_bits(result.u[k], want.u.vector)
+    assert tuple(result.fitted[k].tolist()) == want.fitted
+    below = int(result.n_below[k])
+    assert (below, n - 2 - below) == (want.n_below, want.n_above)
+
+
+def assert_same_table(got, want):
     assert got.tau == want.tau
-    for name in ("a", "b", "c", "multiplier", "duals"):
+    for column in fields(SweepResult)[3:]:
+        name = column.name
         assert same_bits(getattr(got, name), getattr(want, name)), name
-    assert same_bits(got.u.vector, want.u.vector)
-    assert got.fitted == want.fitted
-    assert (got.n_below, got.n_above) == (want.n_below, want.n_above)
 
 
 def assert_matches_reference(cloud, result):
     z = cloud.points
-    raw = [(a.start, a.end, *a.fitted, a.orientation) for a in result.arcs]
-    want = reference_finalize_arcs(z, result.tau, raw)
+    want = reference_finalize_arcs(z, result.tau, records(result))
     assert len(want) == len(result.arcs)
-    for arc, (start, end, s, h) in zip(result.arcs, want):
-        assert same_bits((arc.start, arc.end), (start, end)) and arc.orientation == s
-        assert_same_hyperplane(arc.hyperplane, h)
+    for k, (start, end, s, h) in enumerate(want):
+        assert same_bits(result.arcs[k], (start, end)) and result.orientation[k] == s
+        assert_same_hyperplane(result, k, h, cloud.n)
 
 
 def normalized(raw):
@@ -484,16 +510,16 @@ def test_wrap_merged_arc_matches_per_arc_loop():
     cloud = make_cloud(88, 50)
     tau = 0.178
     result = sweep(cloud, tau)
-    raw = [(a.start, a.end, *a.fitted, a.orientation) for a in result.arcs]
+    raw = records(result)
     k = next(k for k, rec in enumerate(raw) if rec[1] > TWO_PI)
     start, end, *key = raw[k]
     # the arc through zero, split at zero: _finalize merges the halves
     split = raw[:k] + raw[k + 1 :] + [(start, TWO_PI, *key), (0.0, end - TWO_PI, *key)]
-    arcs = contour_module._finalize(cloud.points, tau, split)
-    assert len(arcs) == len(raw)
-    merged = [a for a in arcs if a.end > TWO_PI]
-    assert len(merged) == 1 and merged[0].fitted == tuple(key[:2])
-    assert_matches_reference(cloud, SweepResult(tau, arcs, 0, "parametric"))
+    merged = table(cloud.points, tau, split)
+    assert len(merged.arcs) == len(raw)
+    wraps = merged.arcs[:, 1] > TWO_PI
+    assert wraps.sum() == 1 and merged.fitted[wraps].tolist() == [key[:2]]
+    assert_matches_reference(cloud, merged)
 
 
 def test_fortran_ordered_input_gives_same_sweep():
@@ -503,18 +529,15 @@ def test_fortran_ordered_input_gives_same_sweep():
     tau = 0.2017
     want = sweep(PointCloud(z), tau)
     got = sweep(PointCloud(np.asfortranarray(z)), tau)
-    assert got.n_pivots == want.n_pivots and len(got.arcs) == len(want.arcs)
-    for g, w in zip(got.arcs, want.arcs):
-        assert same_bits((g.start, g.end), (w.start, w.end))
-        assert g.orientation == w.orientation
-        assert_same_hyperplane(g.hyperplane, w.hyperplane)
+    assert got.n_pivots == want.n_pivots
+    assert_same_table(got, want)
 
 
 def test_block_certification_error_parity(monkeypatch):
     cloud = make_cloud(89, 30)
     z, tau = cloud.points, 0.178
     result = sweep(cloud, tau)
-    raw = [(a.start, a.end, *a.fitted, a.orientation) for a in result.arcs]
+    raw = records(result)
     monkeypatch.setattr(contour_module, "_CERT_BLOCK_ELEMENTS", 4 * cloud.n)
 
     def check(records):
@@ -568,7 +591,7 @@ def test_finalize_solves_once_per_block(monkeypatch):
     cloud = make_cloud(90, 400)
     z, tau = cloud.points, 0.178
     result = sweep(cloud, tau)
-    raw = [(a.start, a.end, *a.fitted, a.orientation) for a in result.arcs]
+    raw = records(result)
     per_block = max(1, contour_module._CERT_BLOCK_ELEMENTS // cloud.n)
     blocks = -(-len(raw) // per_block)
     assert len(raw) > per_block  # more than one block
@@ -580,8 +603,7 @@ def test_finalize_solves_once_per_block(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    arcs = contour_module._finalize(z, tau, raw)
-    assert len(arcs) == len(raw)
+    assert len(table(z, tau, raw).arcs) == len(raw)
     assert len(calls) <= blocks
 
 
@@ -683,17 +705,17 @@ def recording_solve(log):
 
 
 def reference_sweep(cloud, tau):
-    """(arcs, n_pivots, probe log) of the sweep through the former probe path."""
+    """(table, n_pivots, probe log) of the sweep through the former probe path."""
     log = []
     scale = 1.0 + float(np.abs(cloud.points).max())
     raw, pivots = reference_march_arcs(cloud, tau, scale, recording_solve(log))
-    return contour_module._finalize(cloud.points, tau, raw), pivots, log
+    return table(cloud.points, tau, raw), pivots, log
 
 
 @pytest.mark.parametrize("n, scale, tau, seed", SWEEP_CASES)
 def test_probe_path_matches_former_solve_at(n, scale, tau, seed, monkeypatch):
     cloud = make_cloud(seed, n, scale=scale)
-    want_arcs, want_pivots, want_log = reference_sweep(cloud, tau)
+    want, want_pivots, want_log = reference_sweep(cloud, tau)
     got_log = []
     # the sweep must call solve_qr through contour's module-level name,
     # where the benchmark tracer counts every probe
@@ -701,18 +723,16 @@ def test_probe_path_matches_former_solve_at(n, scale, tau, seed, monkeypatch):
     result = sweep(cloud, tau)
     assert got_log == want_log
     assert result.n_pivots == want_pivots
-    assert len(result.arcs) == len(want_arcs)
-    for got, want in zip(result.arcs, want_arcs):
-        assert same_bits((got.start, got.end), (want.start, want.end))
-        assert got.orientation == want.orientation
-        assert_same_hyperplane(got.hyperplane, want.hyperplane)
+    assert_same_table(result, want)
 
 
-def test_planar_frame_matches_direction_and_complement():
-    # 10**5 angles: uniform ones, and the nearest doubles around every
-    # k pi / 4, where |u_1| and |u_2| come within an ulp of a tie (no
-    # angle within 20,000 ulps of k pi / 4 makes them equal)
-    rng = RNG(95)
+def frame_angles(seed):
+    """10**5 angles: uniform ones, and the nearest doubles around every k pi / 4.
+
+    Near k pi / 4, |u_1| and |u_2| come within an ulp of a tie (no angle
+    within 20,000 ulps of k pi / 4 makes them equal).
+    """
+    rng = RNG(seed)
     near = []
     for k in range(-8, 17):
         lo = hi = k * np.pi / 4.0
@@ -720,12 +740,26 @@ def test_planar_frame_matches_direction_and_complement():
         for _ in range(200):
             lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
             near += [lo, hi]
-    phis = np.concatenate([near, rng.uniform(-TWO_PI, 2.0 * TWO_PI, 100_000 - len(near))])
-    for phi in phis.tolist():
+    return np.concatenate([near, rng.uniform(-TWO_PI, 2.0 * TWO_PI, 100_000 - len(near))])
+
+
+def test_planar_frame_matches_direction_and_complement():
+    for phi in frame_angles(95).tolist():
         u, gamma = contour_module._planar_frame(phi)
         d = Direction.from_angle(phi)
         assert same_bits(u, d.vector), phi
         assert same_bits(gamma, orthocomplement_basis(d)[:, 0]), phi
+
+
+def test_u_column_matches_direction_from_angle():
+    # the sweep's u column is _unit_rows of the arc midpoints, in blocks of
+    # any length; each row must be Direction.from_angle(mid).vector
+    phis = frame_angles(96)
+    want = np.array([Direction.from_angle(phi).vector for phi in phis.tolist()])
+    assert same_bits(contour_module._unit_rows(phis), want)
+    for size in (1, 3, 7, 65, 1000):
+        got = [contour_module._unit_rows(phis[b : b + size]) for b in range(0, 5000, size)]
+        assert same_bits(np.concatenate(got)[:5000], want[:5000]), size
 
 
 GAUSS30 = RNG(0).standard_normal((30, 2))

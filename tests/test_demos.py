@@ -1,0 +1,38 @@
+"""Every demo script runs to completion and leaves the checkout as it was."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SKIP = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
+
+
+def checkout_files():
+    """Every file under the checkout, apart from caches and git's own."""
+    found = set()
+    for dirpath, dirnames, filenames in os.walk(ROOT):
+        dirnames[:] = [d for d in dirnames if d not in SKIP]
+        found.update(os.path.join(dirpath, f) for f in filenames)
+    return found
+
+
+def test_every_demo_is_collected():
+    assert len(DEMOS) >= 6
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_cleanly(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    before = checkout_files()
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert checkout_files() - before == set()

@@ -203,7 +203,7 @@ def test_array_route_matches_hyperplane_route():
     for seed, n, tau in ((11, 12, 0.178), (12, 30, 0.305), (13, 40, 0.101), (14, 9, 0.45)):
         cloud = make_cloud(seed, n)
         result = sweep(cloud, tau)
-        swept = np.array([[*arc.hyperplane.b, arc.hyperplane.a] for arc in result.arcs])
+        swept = result.halfplanes
         for from_arrays, planes in (
             (fixed_tau_region(result), swept),
             (depth_region_bruteforce_2d(cloud, tau), _pair_halfplanes(cloud, tau)),

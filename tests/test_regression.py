@@ -363,7 +363,7 @@ def test_location_cut_equals_sweep_region():
     z = rng.standard_normal((20, 2))
     tau = 0.305
     res = sweep(PointCloud(z), tau)
-    mids = [Direction.from_angle(0.5 * (a.start + a.end)) for a in res.arcs]
+    mids = [Direction.from_angle(0.5 * (start + end)) for start, end in res.arcs.tolist()]
     models = [
         regression_quantile(RegressionProblem(np.empty((20, 0)), z, tau, d))
         for d in mids
