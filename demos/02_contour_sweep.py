@@ -10,7 +10,14 @@ chords survive as facets of the region.
 
 import numpy as np
 
-from quantour import PointCloud, fixed_tau_region, probability_contents, sweep
+from quantour import (
+    PointCloud,
+    depth_region_bruteforce_2d,
+    fixed_tau_region,
+    hausdorff_distance,
+    probability_contents,
+    sweep,
+)
 
 ang = np.arange(6) * np.pi / 3.0
 hexagon = PointCloud(np.column_stack([np.cos(ang), np.sin(ang)]))
@@ -37,14 +44,11 @@ def main():
         print(f"  ({v[0]:+.6f}, {v[1]:+.6f})")
     print(f"sample mass inside: {probability_contents(region, hexagon):.3f}")
 
-    # the independent enumeration route must agree arc for arc
-    enu = sweep(hexagon, 0.25, method="enumerate")
-    agree = (
-        len(res.arcs) == len(enu.arcs)
-        and np.abs(res.arcs - enu.arcs).max() < 1e-9
-        and (np.sort(res.fitted, axis=1) == np.sort(enu.fitted, axis=1)).all()
-    )
-    print(f"\nparametric vs enumerate: {'identical' if agree else 'MISMATCH'}")
+    # the brute-force depth region, built from every point pair's line,
+    # must be the same polygon
+    oracle = depth_region_bruteforce_2d(hexagon, 0.25)
+    gap = hausdorff_distance(region, oracle)
+    print(f"\nsweep vs brute-force region: Hausdorff distance {gap:.1e}")
 
 
 if __name__ == "__main__":

@@ -146,14 +146,19 @@ def _heal_cloud(args, data: PointCloud) -> PointCloud:
     return data
 
 
-def _load_cloud(args) -> PointCloud:
+def _read_cloud(args) -> PointCloud:
+    """Ingest a plain coordinate file, without the general-position check."""
     kind, data, warnings = ingest_csv(args.input)
     args.warnings.extend(warnings)
     if kind != "cloud":
         raise HeaderMismatch(
             f"the {args.command} command expects plain coordinate columns"
         )
-    return _heal_cloud(args, data)
+    return data
+
+
+def _load_cloud(args) -> PointCloud:
+    return _heal_cloud(args, _read_cloud(args))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +228,12 @@ def _view_box(points):
 class _SvgCanvas:
     """Fixed 640x480 canvas mapping data coordinates with a y-flip."""
 
-    def __init__(self, lo, hi, width=640, height=480):
+    w, h = 640, 480
+
+    def __init__(self, lo, hi):
         self.lo, self.hi = lo, hi
-        self.w, self.h = width, height
         span = hi - lo
-        self.scale = min(width / span[0], height / span[1])
+        self.scale = min(self.w / span[0], self.h / span[1])
         self.elements = []
 
     def map(self, p):
@@ -251,17 +257,17 @@ class _SvgCanvas:
             f'stroke-width="{width}"/>'
         )
 
-    def text(self, p, s, size=14):
+    def text(self, p, s):
         x, y = self.map(p)
         self.elements.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}">{s}</text>'
+            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="14">{s}</text>'
         )
 
-    def line_segment(self, b, a, stroke, width=1.5):
+    def line_segment(self, b, a, stroke):
         """Clip the line {z : b'z = a} to the data window and draw it."""
         seg = _clip_line(np.asarray(b, dtype=float), float(a), self.lo, self.hi)
         if seg is not None:
-            self.polyline(seg, stroke=stroke, width=width)
+            self.polyline(seg, stroke=stroke, width=2.0)
 
     def render(self) -> str:
         head = (
@@ -306,7 +312,7 @@ def _svg_cloud_region(cloud, region=None, hyperplanes=(), marks=()):
             fill="#1f77b433",
         )
     for b, a in hyperplanes:
-        canvas.line_segment(b, a, stroke="#d62728", width=2.0)
+        canvas.line_segment(b, a, stroke="#d62728")
     for p in cloud.points:
         canvas.circle(p, 3, "#444444")
     for p in marks:
@@ -326,8 +332,9 @@ def _parse_vector(text, k=None):
 
 
 def _cmd_quantile(args):
-    u = Direction(np.array(_parse_vector(args.u), dtype=float))
-    cloud = _load_cloud(args)
+    cloud = _read_cloud(args)
+    u = Direction(np.array(_parse_vector(args.u, cloud.k), dtype=float))
+    cloud = _heal_cloud(args, cloud)
     h = directional_quantile(cloud, args.tau, u)
     result = _hyperplane_payload(h)
     payload = {"meta": _meta(args, cloud), "result": result}
@@ -340,7 +347,7 @@ def _cmd_quantile(args):
 
 def _cmd_contour(args):
     cloud = _load_cloud(args)
-    res = sweep(cloud, args.tau, method=args.method)
+    res = sweep(cloud, args.tau)
     region = fixed_tau_region(res)
     prob = probability_contents(region, cloud)
     rows = [["start", "end", "orientation", "i", "j", "a", "b1", "b2",
@@ -359,8 +366,9 @@ def _cmd_contour(args):
                      "hyperplane": hyperplane})
         rows.append([repr(start), repr(end), s, i, j, repr(a), repr(b1),
                      repr(b2), repr(mult), below])
+    # "method" names the one sweep there is; it stays so the JSON keeps its bytes
     payload = {
-        "meta": _meta(args, cloud, method=res.method, n_pivots=res.n_pivots),
+        "meta": _meta(args, cloud, method="parametric", n_pivots=res.n_pivots),
         "result": {
             "arcs": arcs,
             "region": region_payload(region),
@@ -437,6 +445,8 @@ def _cmd_km(args):
 def _cmd_scan(args):
     if args.K < 1:
         raise ValueError(f"scan needs at least one direction, got --K {args.K}")
+    if not math.isfinite(args.flag_c):
+        raise ValueError(f"flag_c must be finite, got --flag-c {args.flag_c}")
     cloud = _load_cloud(args)
     directions = [
         Direction.from_angle(2.0 * np.pi * j / args.K) for j in range(args.K)
@@ -470,9 +480,10 @@ def _cmd_regress(args):
             raise ValueError("cuts are defined for k=2 response spaces")
         if len(x0) != X.shape[1]:
             raise ValueError(f"--x0 has {len(x0)} coordinates, the design has {X.shape[1]} regressors")
+        directions = response_direction_grid(args.grid)
+    u = Direction(np.array(_parse_vector(args.u, k), dtype=float))
     if kind == "cloud":
         Y = _heal_cloud(args, data).points
-    u = Direction(np.array(_parse_vector(args.u, k), dtype=float))
     rp = RegressionProblem(X, Y, args.tau, u)
     q = regression_quantile(rp)
     result = {
@@ -494,7 +505,7 @@ def _cmd_regress(args):
     if x0 is not None:
         models = [
             regression_quantile(RegressionProblem(X, Y, args.tau, d))
-            for d in response_direction_grid(args.grid)
+            for d in directions
         ]
         cut = fixed_x_cut(models, np.array(x0, dtype=float))
         result["cut"] = region_payload(cut)
@@ -635,8 +646,8 @@ def _emit_error(args, exc: Exception, code: int) -> None:
 def run(args) -> int:
     """Execute one parsed command line; returns the process exit code."""
     try:
-        if not getattr(args, "jitter_amplitude", 0.0) >= 0.0:
-            raise ValueError("jitter amplitude must be nonnegative")
+        if not 0.0 <= getattr(args, "jitter_amplitude", 0.0) < math.inf:
+            raise ValueError("jitter amplitude must be nonnegative and finite")
         handler = _COMMANDS[args.command]
         payload, rows, svg = handler(args)
         _emit(args, payload, rows, svg)
@@ -652,9 +663,20 @@ def run(args) -> int:
         return 1
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects; its text is usage plus message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error by raising it, so main can exit 1, not 2."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quantour",
         description="Directional quantile hyperplanes, depth contours, and "
         "envelope comparisons.",
@@ -662,9 +684,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True, needs_tau=False):
-        if needs_input:
-            p.add_argument("--input", "-i", required=True, help="CSV data file")
+    def common(p, needs_tau=False):
+        p.add_argument("--input", "-i", required=True, help="CSV data file")
         p.add_argument("--tau", type=float, required=needs_tau,
                        default=None, help="quantile level in (0, 1)")
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "svg"),
@@ -683,8 +704,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contour", help="full direction sweep and region")
     common(p, needs_tau=True)
-    p.add_argument("--method", choices=("parametric", "enumerate"),
-                   default="parametric")
 
     p = sub.add_parser("depth", help="point depth and oracle region")
     common(p)
@@ -723,8 +742,13 @@ def main(argv=None) -> int:
     """Run one command line (default sys.argv[1:]) and return its exit code.
 
     The parser is built once per process; every call gets a fresh Namespace.
+    A usage error prints the usage and exits 1; --help and --version exit 0.
     """
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        sys.stderr.write(str(exc))
+        return 1
     args.warnings = []
     return run(args)
 

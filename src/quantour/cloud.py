@@ -131,17 +131,15 @@ class PointCloud:
         hits = _collinear_hits(pts, area_tol, limit)
         return [tuple(t) for t in hits.tolist()]
 
-    def require_general_position(self, check_collinear: bool | None = None):
+    def require_general_position(self):
         """Raise DegenerateData on duplicates or (planar) collinear triples.
 
-        Collinearity is checked by default only for k == 2 clouds.
+        Collinearity is checked only for k == 2 clouds.
         """
         dup = self.rows_with_duplicates()
         if dup:
             raise DegenerateData("duplicate points", indices=dup)
-        if check_collinear is None:
-            check_collinear = self.k == 2
-        if check_collinear and self.k == 2 and self.n >= 3:
+        if self.k == 2 and self.n >= 3:
             triples = self.collinear_triples(limit=4)
             if triples:
                 flat = sorted({i for t in triples for i in t})
@@ -272,8 +270,8 @@ def jitter(cloud: PointCloud, amplitude: float = 1e-5, seed: int = 0) -> PointCl
     StillDegenerate when the perturbed cloud fails the general-position
     check that jitter was meant to repair.
     """
-    if amplitude <= 0:
-        raise ValueError("jitter amplitude must be positive")
+    if not 0.0 < amplitude < np.inf:
+        raise ValueError(f"jitter amplitude must be positive and finite, got {amplitude:g}")
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-amplitude, amplitude, size=cloud.points.shape)
     out = PointCloud(cloud.points + noise)

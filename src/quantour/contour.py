@@ -6,9 +6,9 @@ breakpoints the optimal fitted pair and side pattern are constant.  For a
 fixed pair and orientation the dual weights are ratios of homogeneous
 linear functions of u, so the set of directions where the basis stays
 dual-feasible is the intersection of half-circles: a single arc computed
-in closed form.  The sweep therefore either marches arc to arc with
-warm-started pivots (primary) or enumerates every point pair's arc
-(fallback oracle); both must tile the circle exactly.
+in closed form.  The sweep marches arc to arc with warm-started pivots,
+and the arcs must tile the circle exactly.  ``_enumerate_arcs``, which
+scans every point pair's arc, is kept as the tests' independent oracle.
 
 Each arc's representative hyperplane, taken at the arc midpoint, is
 rebuilt from its basis and certified (orientation, dual box, multiplier
@@ -70,12 +70,11 @@ class SweepResult:
     {z : b'z >= a}, c (m, 1), multiplier (m,), duals (m, 2) and n_below (m,);
     n_above is n - 2 - n_below.  The line and orientation hold over the
     whole arc, while (a, b) renormalize with u.  n_pivots counts the
-    parametric march's pivots (0 for "enumerate").
+    march's pivots.
     """
 
     tau: float
     n_pivots: int
-    method: str
     arcs: np.ndarray
     fitted: np.ndarray
     orientation: np.ndarray
@@ -87,7 +86,7 @@ class SweepResult:
     n_below: np.ndarray
 
     def __post_init__(self):
-        for column in fields(self)[3:]:  # the per-arc columns
+        for column in fields(self)[2:]:  # the per-arc columns
             getattr(self, column.name).setflags(write=False)
 
 
@@ -197,14 +196,12 @@ def _align(lo: float, hi: float, anchor: float):
     return lo + k * TWO_PI, hi + k * TWO_PI
 
 
-def sweep(cloud: PointCloud, tau: float, method: str = "parametric") -> SweepResult:
+def sweep(cloud: PointCloud, tau: float) -> SweepResult:
     """All tau-u quantile hyperplanes for u over the unit circle.
 
-    method "parametric" solves once at phi = 0 and then advances breakpoint
-    to breakpoint with warm-started pivots; "enumerate" scans every point
-    pair and orientation for a nonempty validity arc (slower, used as the
-    independent oracle).  Both verify that the arcs tile the circle and
-    that no basis repeats, raising ArcGap otherwise.
+    Solves once at phi = 0, then advances breakpoint to breakpoint with
+    warm-started pivots.  Verifies that the arcs tile the circle and that
+    no basis repeats, raising ArcGap otherwise.
     """
     if cloud.k != 2:
         raise DimensionMismatch("sweep expects a planar cloud")
@@ -213,15 +210,8 @@ def sweep(cloud: PointCloud, tau: float, method: str = "parametric") -> SweepRes
     tau = validate_tau(tau, cloud.n)
     # collinearity tolerance scale of every _arc_for_basis call
     scale = 1.0 + float(np.abs(cloud.points).max())
-    if method == "parametric":
-        raw, pivots = _march_arcs(cloud, tau, scale)
-    elif method == "enumerate":
-        raw = _enumerate_arcs(cloud.points, tau, scale)
-        pivots = 0
-    else:
-        raise ValueError(f"unknown sweep method {method!r}")
-
-    return SweepResult(tau, pivots, method, *_finalize(cloud.points, tau, raw))
+    raw, pivots = _march_arcs(cloud, tau, scale)
+    return SweepResult(tau, pivots, *_finalize(cloud.points, tau, raw))
 
 
 def _march_arcs(cloud: PointCloud, tau: float, scale: float):

@@ -10,6 +10,7 @@ contours ignore interior points, the multiplier does not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,8 +192,10 @@ def multiplier_scan(cloud: PointCloud, tau: float, directions, flag_c: float = 3
     Directions pointing away from an outlying mass produce large
     multipliers, so the flagged entries localize outliers by angle.  Any
     per-direction error propagates with the direction recorded in its
-    notes; no direction at all raises ValueError.
+    notes; no direction at all, or a non-finite flag_c, raises ValueError.
     """
+    if not math.isfinite(flag_c):
+        raise ValueError(f"flag_c must be finite, got {flag_c}")
     entries = []
     for idx, d in enumerate(directions):
         u = d if isinstance(d, Direction) else Direction(d)

@@ -197,11 +197,11 @@ class ConvexRegion2D:
             raise NotBounded("area of an unbounded region")
         return polygon_area(self.vertices)
 
-    def contains(self, point, tol: float = GEOM_TOL) -> str:
-        """Classify a point as INSIDE, BOUNDARY, or OUTSIDE."""
-        return self.classify_many(np.asarray(point, dtype=float).reshape(1, 2), tol=tol)[0]
+    def contains(self, point) -> str:
+        """Classify a point as INSIDE, BOUNDARY, or OUTSIDE within GEOM_TOL."""
+        return self.classify_many(np.asarray(point, dtype=float).reshape(1, 2))[0]
 
-    def classify_many(self, points, tol: float = GEOM_TOL):
+    def classify_many(self, points):
         """Vectorized contains(): list of INSIDE/BOUNDARY/OUTSIDE labels."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
@@ -215,7 +215,8 @@ class ConvexRegion2D:
         res = pts @ H[:, :2].T - H[:, 2]
         worst = res.min(axis=1)
         return [
-            OUTSIDE if w < -tol else (BOUNDARY if w <= tol else INSIDE) for w in worst
+            OUTSIDE if w < -GEOM_TOL else (BOUNDARY if w <= GEOM_TOL else INSIDE)
+            for w in worst
         ]
 
 

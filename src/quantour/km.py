@@ -47,6 +47,8 @@ class EnvelopeConfig:
         object.__setattr__(self, "K", int(self.K))
         object.__setattr__(self, "tau", validate_tau(self.tau))
         object.__setattr__(self, "phase", float(self.phase))
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
 
 def km_hyperplane(cloud: PointCloud, tau: float, u) -> np.ndarray:

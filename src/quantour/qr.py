@@ -277,14 +277,13 @@ def _line_search(r, s, in_basis, ztol, slope0):
     return None, None
 
 
-def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = None) -> QrSolution:
+def solve_qr(problem: QrProblem, initial_basis=None) -> QrSolution:
     """Minimize the check loss exactly; see module docstring.
 
     Parameters
     ----------
     problem : QrProblem
     initial_basis : optional sequence of p row indices to warm start from.
-    max_pivots : exchange cap, default max(500, 50 n).
 
     Raises
     ------
@@ -292,12 +291,11 @@ def solve_qr(problem: QrProblem, initial_basis=None, max_pivots: int | None = No
         Rank-deficient design, or a non-fitted observation with zero
         residual at the optimum (no unique p-point vertex).
     NoConvergence
-        Pivot cap exceeded or an optimality certificate failed.
+        More than max(500, 50 n) pivots, or an optimality certificate failed.
     """
     y, X, tau = problem.y, problem.X, problem.tau
     n, p = X.shape
-    if max_pivots is None:
-        max_pivots = max(500, 50 * n)
+    max_pivots = max(500, 50 * n)
     ztol = 1e-10 * (1.0 + float(np.abs(y).max()))
 
     B = _initial_basis(y, X, initial_basis)

@@ -290,13 +290,11 @@ def _stationarity_solve(xa, Y, u_vec, fitted, psi):
     return float(sol[0]), sol[1:]
 
 
-def response_direction_grid(K: int = 360, phase: float = 0.0) -> tuple:
+def response_direction_grid(K: int = 360) -> tuple:
     """K equispaced planar response directions for cut assembly."""
     if K < 3:
         raise ValueError(f"need at least 3 directions, got K={K}")
-    return tuple(
-        Direction.from_angle(phase + 2.0 * np.pi * j / K) for j in range(K)
-    )
+    return tuple(Direction.from_angle(2.0 * np.pi * j / K) for j in range(K))
 
 
 def fixed_x_cut(models, x0) -> ConvexRegion2D:

@@ -300,6 +300,57 @@ def test_bad_flags_exit_1_before_the_input_is_checked(capsys, monkeypatch, argv,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["quantile", "--tau", "0.3", "--u", "1,2,3"], "expected 2 comma-separated floats, got '1,2,3'"),
+        (["regress", "--tau", "0.3", "--u", "1,2,3"], "expected 2 comma-separated floats, got '1,2,3'"),
+        (["contour", "--tau", "0.3", "--jitter", "inf"], "jitter amplitude must be nonnegative and finite"),
+        (["contour", "--tau", "0.3", "--jitter", "nan"], "jitter amplitude must be nonnegative and finite"),
+        (["km", "--tau", "0.305", "--phase", "nan"], "phase must be finite, got nan"),
+        (["km", "--tau", "0.305", "--phase", "inf"], "phase must be finite, got inf"),
+        (["scan", "--tau", "0.305", "--flag-c", "nan"], "flag_c must be finite, got --flag-c nan"),
+        (["scan", "--tau", "0.305", "--flag-c", "inf"], "flag_c must be finite, got --flag-c inf"),
+    ],
+)
+@pytest.mark.parametrize("jitter", ["0", "1e-5"])
+def test_bad_values_exit_1_before_the_input_is_checked(capsys, monkeypatch, argv, message, jitter):
+    # a --u that does not match the data's k and a non-finite numeric flag
+    # exit 1 before the general-position check of the degenerate collinear5
+    def no_check(self):
+        raise AssertionError("the general-position check ran")
+
+    monkeypatch.setattr(PointCloud, "require_general_position", no_check)
+    code = main([argv[0], "-i", COLLINEAR, "--jitter", jitter, *argv[1:]])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["contour", "--tau", "abc"], "argument --tau: invalid float value: 'abc'"),
+        (["contour", "--tau", "0.25", "--bogus"], "unrecognized arguments: --bogus"),
+        (["contour", "--tau", "0.25", "--method", "enumerate"],
+         "unrecognized arguments: --method enumerate"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    # exit 2 is kept for a degenerate tau
+    assert main([argv[0], "-i", HEX, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quantour")
+    assert err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["contour", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out
+
+
 def regression_csv(tmp_path, q, k, n=40):
     rng = np.random.default_rng(q + 10 * k)
     header = [f"x{i}" for i in range(1, q + 1)] + [f"y{j}" for j in range(1, k + 1)]
@@ -326,6 +377,18 @@ def test_regress_rejects_x0_before_fitting(capsys, monkeypatch, tmp_path, q, k, 
     code = main(["regress", "-i", path, "--tau", "0.305", "--u", u, "--x0", x0, "--grid", "9"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_regress_rejects_small_grid_before_fitting(capsys, monkeypatch, tmp_path):
+    def no_fit(problem):
+        raise AssertionError("regression_quantile ran")
+
+    monkeypatch.setattr(cli_module, "regression_quantile", no_fit)
+    path = regression_csv(tmp_path, 1, 2)
+    argv = ["regress", "-i", path, "--tau", "0.305", "--u", "1,0", "--bins", "3",
+            "--x0", "0.5", "--grid", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: need at least 3 directions, got K=2\n"
 
 
 def test_regress_with_cut_and_coverage(capsys, tmp_path):
@@ -419,7 +482,7 @@ def test_csv_format(capsys):
 PARSE_SEQUENCE = [
     ["quantile", "-i", HEX, "--tau", "0.3", "--u", "0,1", "--format", "csv", "--seed", "4"],
     ["quantile", "-i", HEX, "--tau", "0.3", "--u", "1,0"],
-    ["contour", "-i", HEX, "--tau", "0.25", "--method", "enumerate", "--json-errors"],
+    ["contour", "-i", HEX, "--tau", "0.25", "--format", "csv", "--json-errors"],
     ["contour", "-i", HEX, "--tau", "0.25"],
     ["depth", "-i", HEX, "--x", "0.1,0.2", "--jitter", "0"],
     ["depth", "-i", HEX],

@@ -82,7 +82,7 @@ def test_region_nesting():
     deep = depth_region_bruteforce_2d(cloud, 0.178)
     assert shallow.status == BOUNDED and deep.status == BOUNDED
     for v in deep.vertices:
-        assert shallow.contains(v, tol=1e-9) != OUTSIDE
+        assert shallow.contains(v) != OUTSIDE
 
 
 def test_centerpoint_region_nonempty():

@@ -38,6 +38,12 @@ def test_config_validation():
     assert cfg.K == 4 and cfg.phase == 0.0
 
 
+@pytest.mark.parametrize("phase", [np.inf, -np.inf, np.nan])
+def test_config_rejects_non_finite_phase(phase):
+    with pytest.raises(ValueError, match="phase must be finite"):
+        EnvelopeConfig(K=4, tau=0.3, phase=phase)
+
+
 def test_directional_level_is_order_statistic():
     cloud = make_cloud(80, 21)
     tau = 0.178
@@ -123,7 +129,7 @@ def test_refinement_is_monotone():
     fine = km_envelope(cloud, EnvelopeConfig(K=32, tau=tau))
     assert fine.area() <= coarse.area() + 1e-12
     for v in fine.vertices:
-        assert coarse.contains(v, tol=1e-9) != OUTSIDE
+        assert coarse.contains(v) != OUTSIDE
 
 
 def test_exact_facets_do_not_depend_on_k(hexagon):
