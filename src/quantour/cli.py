@@ -406,7 +406,7 @@ def _cmd_depth(args):
 
 
 def _cmd_km(args):
-    cfg = EnvelopeConfig(K=args.K, tau=args.tau, phase=args.phase)
+    cfg = EnvelopeConfig(K=args.K, tau=args.tau)
     cloud = _load_cloud(args)
     envelope = km_envelope(cloud, cfg)
     exact = fixed_tau_region(sweep(cloud, args.tau))
@@ -445,13 +445,11 @@ def _cmd_km(args):
 def _cmd_scan(args):
     if args.K < 1:
         raise ValueError(f"scan needs at least one direction, got --K {args.K}")
-    if not math.isfinite(args.flag_c):
-        raise ValueError(f"flag_c must be finite, got --flag-c {args.flag_c}")
     cloud = _load_cloud(args)
     directions = [
         Direction.from_angle(2.0 * np.pi * j / args.K) for j in range(args.K)
     ]
-    series = multiplier_scan(cloud, args.tau, directions, flag_c=args.flag_c)
+    series = multiplier_scan(cloud, args.tau, directions)
     flagged = set(series.flagged)
     result = {
         "entries": [
@@ -712,12 +710,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("km", help="directional envelope vs exact region")
     common(p, needs_tau=True)
     p.add_argument("--K", type=int, default=201, help="number of directions")
-    p.add_argument("--phase", type=float, default=0.0)
 
     p = sub.add_parser("scan", help="multiplier process over directions")
     common(p, needs_tau=True)
     p.add_argument("--K", type=int, default=64)
-    p.add_argument("--flag-c", dest="flag_c", type=float, default=3.0)
 
     p = sub.add_parser("regress", help="regression quantile, cut, coverage")
     common(p, needs_tau=True)

@@ -10,7 +10,6 @@ contours ignore interior points, the multiplier does not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +175,7 @@ class MultiplierSeries:
     flagged : indices into ``entries`` whose multiplier exceeds
         median + flag_c * MAD; empty when fewer than 2 entries (MAD
         undefined).
-    flag_c : the threshold multiplier used.
+    flag_c : the threshold multiplier, always 3.0.
     """
 
     entries: tuple
@@ -186,16 +185,16 @@ class MultiplierSeries:
     flag_c: float
 
 
-def multiplier_scan(cloud: PointCloud, tau: float, directions, flag_c: float = 3.0) -> MultiplierSeries:
+def multiplier_scan(cloud: PointCloud, tau: float, directions) -> MultiplierSeries:
     """Multiplier per direction, flagging unusually large values.
 
     Directions pointing away from an outlying mass produce large
-    multipliers, so the flagged entries localize outliers by angle.  Any
-    per-direction error propagates with the direction recorded in its
-    notes; no direction at all, or a non-finite flag_c, raises ValueError.
+    multipliers, so the flagged entries localize outliers by angle: those
+    more than 3 MAD above the median.  Any per-direction error propagates
+    with the direction recorded in its notes; no direction at all raises
+    ValueError.
     """
-    if not math.isfinite(flag_c):
-        raise ValueError(f"flag_c must be finite, got {flag_c}")
+    flag_c = 3.0
     entries = []
     for idx, d in enumerate(directions):
         u = d if isinstance(d, Direction) else Direction(d)
@@ -217,7 +216,7 @@ def multiplier_scan(cloud: PointCloud, tau: float, directions, flag_c: float = 3
         flagged = tuple(i for i, (_, v) in enumerate(entries) if v > med + flag_c * mad)
     else:
         flagged = ()
-    return MultiplierSeries(tuple(entries), med, mad, flagged, float(flag_c))
+    return MultiplierSeries(tuple(entries), med, mad, flagged, flag_c)
 
 
 def outlier_scenario(seed: int, step: int) -> PointCloud:

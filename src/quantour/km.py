@@ -32,23 +32,19 @@ from .qr import validate_tau
 class EnvelopeConfig:
     """Equispaced-direction envelope settings.
 
-    K directions phi_j = phase + 2 pi j / K; the directional quantile is
+    K directions phi_j = 2 pi j / K; the directional quantile is
     always the lower (ceil(n tau)-th) order statistic so the K -> infinity
     limit matches the exact region convention.
     """
 
     K: int
     tau: float
-    phase: float = 0.0
 
     def __post_init__(self):
         if int(self.K) != self.K or self.K < 3:
             raise ValueError(f"need at least 3 directions, got K={self.K}")
         object.__setattr__(self, "K", int(self.K))
         object.__setattr__(self, "tau", validate_tau(self.tau))
-        object.__setattr__(self, "phase", float(self.phase))
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
 
 
 def km_hyperplane(cloud: PointCloud, tau: float, u) -> np.ndarray:
@@ -77,7 +73,7 @@ def km_envelope(cloud: PointCloud, cfg: EnvelopeConfig) -> ConvexRegion2D:
         raise DimensionMismatch("envelope construction expects a planar cloud")
     tau = validate_tau(cfg.tau, cloud.n)
     m0 = math.ceil(cloud.n * tau)
-    angles = cfg.phase + 2.0 * np.pi * np.arange(cfg.K) / cfg.K
+    angles = 2.0 * np.pi * np.arange(cfg.K) / cfg.K
     U = np.column_stack([np.cos(angles), np.sin(angles)])
     proj = cloud.points @ U.T
     q = np.partition(proj, m0 - 1, axis=0)[m0 - 1]
