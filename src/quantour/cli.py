@@ -11,6 +11,8 @@ identical JSON and CSV, and SVG identical up to the version comment
 line.  JSON payloads are {"meta": ..., "result": ...}; regions carry
 vertex arrays plus their generating halfplanes {b, a}.  The RNG is
 numpy's default_rng seeded from --seed; OS randomness is never used.
+regress --x0 solves its direction grid over the CPUs the process may use
+(forked children, see _fan_out); the bytes do not depend on how many.
 
 Exit codes: 0 success, 2 degenerate tau (message names the nearest
 admissible levels), 3 degenerate data (message carries the offending
@@ -60,6 +62,10 @@ from .regression import (
 
 JITTER_DEFAULT = 1e-5
 FIG2_TAU_NUM = 2.5  # tau = 2.5/n for the quantile, 0.5/n for the hull regime
+# Fewest grid directions worth a forked child.  On a 2-core Xeon a fork,
+# pickle and waitpid round trip takes 5-7 ms and one cold regression solve
+# at least 0.5 ms (n = 8 to 40), so a 16-direction chunk repays its fork.
+_FORK_MIN_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +507,10 @@ def _cmd_regress(args):
             "bin_counts": list(diag.bin_counts),
         }
     if x0 is not None:
-        models = [
-            regression_quantile(RegressionProblem(X, Y, args.tau, d))
-            for d in directions
-        ]
+        models = _fan_out(
+            lambda d: regression_quantile(RegressionProblem(X, Y, args.tau, d)),
+            directions,
+        )
         cut = fixed_x_cut(models, np.array(x0, dtype=float))
         result["cut"] = region_payload(cut)
     payload = {"meta": _meta(args, n=Y.shape[0], k=k, p=X.shape[1] + 1),
@@ -513,6 +519,69 @@ def _cmd_regress(args):
         [kk, json.dumps(vv)] for kk, vv in result.items() if kk != "cut"
     ]
     return payload, rows, None
+
+
+def _fan_out(solve, items):
+    """``[solve(x) for x in items]``, in contiguous chunks over the allowed CPUs.
+
+    The parent solves the first chunk; each forked child solves one more
+    and pickles its list back through a pipe.  The parent solves a failed
+    child's chunk again itself, so an error is the one a serial loop raises.
+    Serial on one CPU, with another thread alive, without os.fork, or when
+    a chunk would hold fewer than _FORK_MIN_CHUNK items.
+    """
+    import os
+    import pickle
+    import signal
+    import threading
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    chunks = min(cpus, len(items) // _FORK_MIN_CHUNK)
+    if chunks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [solve(x) for x in items]
+    cuts = [len(items) * i // chunks for i in range(chunks + 1)]
+    children = []  # [pid, read end, lo, hi]; None once reaped, closed or not forked
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the parent solves this chunk
+                os.close(r)
+                os.close(w)
+                children.append([None, None, lo, hi])
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        pickle.dump([solve(x) for x in items[lo:hi]], pipe,
+                                    pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append([pid, r, lo, hi])
+        out = [solve(x) for x in items[: cuts[1]]]
+        for child in children:
+            pid, r, lo, hi = child
+            status = 1
+            if pid is not None:
+                with open(r, "rb") as pipe:
+                    child[1] = None
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                child[0] = None
+            out += pickle.loads(data) if status == 0 else [solve(x) for x in items[lo:hi]]
+        return out
+    finally:
+        for pid, r, _, _ in children:
+            if r is not None:
+                os.close(r)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _cmd_fig2(args):
@@ -602,8 +671,6 @@ def _emit(args, payload, rows, svg) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     elif args.fmt == "svg":
-        if svg is None:
-            raise ValueError(f"svg output is not defined for {args.command}")
         text = svg
     else:
         raise ValueError(f"unknown format {args.fmt!r}")
@@ -682,12 +749,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_tau=False):
+    def common(p, needs_tau=False, formats=("json", "csv", "svg")):
         p.add_argument("--input", "-i", required=True, help="CSV data file")
         p.add_argument("--tau", type=float, required=needs_tau,
                        default=None, help="quantile level in (0, 1)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "svg"),
-                       default="json")
+        p.add_argument("--format", dest="fmt", choices=formats, default="json")
         p.add_argument("--output", "-o", default=None,
                        help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
@@ -712,11 +778,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=201, help="number of directions")
 
     p = sub.add_parser("scan", help="multiplier process over directions")
-    common(p, needs_tau=True)
+    common(p, needs_tau=True, formats=("json", "csv"))
     p.add_argument("--K", type=int, default=64)
 
     p = sub.add_parser("regress", help="regression quantile, cut, coverage")
-    common(p, needs_tau=True)
+    common(p, needs_tau=True, formats=("json", "csv"))
     p.add_argument("--u", required=True, help="response direction")
     p.add_argument("--bins", type=int, default=0,
                    help="coverage diagnostic bins (0 skips)")

@@ -62,6 +62,17 @@ class PointCloud:
     def __setattr__(self, name, value):
         raise AttributeError("PointCloud is immutable")
 
+    def __reduce__(self):
+        # pickle and copy keep the stored array and skip the constructor's checks
+        return (PointCloud._restore, (self.points,))
+
+    @classmethod
+    def _restore(cls, points):
+        cloud = object.__new__(cls)
+        points.setflags(write=False)
+        object.__setattr__(cloud, "points", points)
+        return cloud
+
     @property
     def n(self) -> int:
         return self.points.shape[0]

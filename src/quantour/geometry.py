@@ -71,6 +71,17 @@ class Direction:
     def __setattr__(self, name, value):
         raise AttributeError("Direction is immutable")
 
+    def __reduce__(self):
+        # pickle and copy keep the stored bits: normalising again can move them
+        return (Direction._restore, (self.vector,))
+
+    @classmethod
+    def _restore(cls, vector):
+        d = object.__new__(cls)
+        vector.setflags(write=False)
+        object.__setattr__(d, "vector", vector)
+        return d
+
     @classmethod
     def from_angle(cls, phi: float) -> "Direction":
         """Planar direction (cos phi, sin phi)."""

@@ -1,12 +1,25 @@
 """Batch interface: ingestion, exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quantour import EmptyInput, HeaderMismatch, ParseError, PointCloud, intersect_halfplanes_2d
+from quantour import (
+    EmptyInput,
+    HeaderMismatch,
+    NoConvergence,
+    ParseError,
+    PointCloud,
+    intersect_halfplanes_2d,
+)
 from quantour import cli as cli_module
 from quantour.cli import ingest_csv, main, region_from_payload, region_payload
 
@@ -422,6 +435,148 @@ def test_regress_with_cut_and_coverage(capsys, tmp_path):
     assert abs(result["b"][0] - 1.0) <= 1e-9
     assert result["coverage"]["bin_counts"] == [30, 30, 30, 30]
     assert result["cut"]["status"] == "bounded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "-i", HEX, "--tau", "0.25"], ["regress", "-i", HEX, "--tau", "0.2", "--u", "0,1"]],
+)
+def test_svg_is_rejected_before_fitting(capsys, monkeypatch, argv):
+    def no_call(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("ingest_csv", "multiplier_scan", "regression_quantile"):
+        monkeypatch.setattr(cli_module, name, no_call)
+    assert main([*argv, "--format", "svg"]) == 1
+    assert "argument --format: invalid choice: 'svg'" in capsys.readouterr().err
+
+
+# ------------------------------------------------- the cut grid over the CPUs
+
+CUT_GRID = 48  # three times _FORK_MIN_CHUNK: two chunks on two CPUs
+
+
+def cut_argv(tmp_path):
+    path = regression_csv(tmp_path, 1, 2, n=60)
+    return ["regress", "-i", path, "--tau", "0.305", "--u", "1,0", "--x0", "0.5",
+            "--grid", str(CUT_GRID)]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two allowed CPUs on any machine, and the pid of every child forked."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return pids
+
+
+def fail_from(monkeypatch, first):
+    """Make every cut direction from grid index ``first`` on raise, naming its index."""
+    fit = cli_module.regression_quantile
+
+    def failing_fit(problem):
+        j = round(problem.u.angle / (2.0 * np.pi / CUT_GRID)) % CUT_GRID
+        if j >= first:  # the main fit at --u 1,0 has index 0
+            raise NoConvergence(f"injected failure at grid index {j}")
+        return fit(problem)
+
+    monkeypatch.setattr(cli_module, "regression_quantile", failing_fit)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_cut_bytes_match_a_run_pinned_to_one_cpu(capsys, tmp_path, forks):
+    argv = cut_argv(tmp_path)
+    assert main(argv) == 0
+    fanned = capsys.readouterr().out
+    assert len(forks) == 1
+    pin = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+           "from quantour.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    pinned = subprocess.run([sys.executable, "-c", pin, *argv], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert pinned.stdout == fanned
+
+
+@pytest.mark.parametrize("first", [1, CUT_GRID // 2, CUT_GRID - 5], ids=["parent", "child", "late"])
+def test_failing_direction_gives_the_serial_error(capsys, monkeypatch, tmp_path, forks, first):
+    argv = cut_argv(tmp_path)
+    fail_from(monkeypatch, first)
+    assert main(argv) == 1
+    fanned = capsys.readouterr()
+    assert len(forks) == 1
+    monkeypatch.setattr(cli_module, "_FORK_MIN_CHUNK", CUT_GRID + 1)
+    assert main(argv) == 1
+    serial = capsys.readouterr()
+    assert len(forks) == 1
+    assert fanned.err == serial.err == f"error: injected failure at grid index {first}\n"
+    assert fanned.out == serial.out == ""
+
+
+def test_no_child_outlives_the_call(capsys, monkeypatch, tmp_path, forks):
+    argv = cut_argv(tmp_path)
+    assert main(argv) == 0
+    fail_from(monkeypatch, CUT_GRID // 2)  # the child's chunk fails
+    assert main(argv) == 1
+    fail_from(monkeypatch, 1)  # the parent's chunk fails, and its child is killed
+    assert main(argv) == 1
+    assert len(forks) == 3
+    assert_reaped(forks)
+
+
+def test_parent_failure_kills_the_child(forks):
+    def solve(x):
+        if x == 0:
+            raise NoConvergence("the parent's chunk failed")
+        if x == 16:  # the first item of the child's chunk
+            time.sleep(30)
+        return x
+
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match="the parent's chunk failed"):
+        cli_module._fan_out(solve, range(32))
+    assert time.perf_counter() - start < 10
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_fan_out_stays_serial_while_another_thread_runs(capsys, tmp_path, forks):
+    argv = cut_argv(tmp_path)
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        stop.set()
+        worker.join()
+    assert forks == []
+    serial = capsys.readouterr().out
+    assert main(argv) == 0
+    assert len(forks) == 1
+    assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("cpus, n, children", [(4, 100, 3), (3, 32, 1), (2, 31, 0), (1, 500, 0)])
+def test_fan_out_joins_chunks_in_order(monkeypatch, forks, cpus, n, children):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert cli_module._fan_out(lambda x: (x, x * x), range(n)) == [(x, x * x) for x in range(n)]
+    assert len(forks) == children
+    assert_reaped(forks)
 
 
 def test_fig2_artifacts(tmp_path):

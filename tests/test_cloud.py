@@ -7,6 +7,8 @@ is that scan, kept as the independent oracle; its tolerance is relative to
 the cloud's largest coordinate, with no floor at 1.
 """
 
+import copy
+import pickle
 import time
 
 import numpy as np
@@ -75,6 +77,19 @@ def gaussian_with_midpoint(seed, n):
 
 
 GRID8 = np.array([(float(a), float(b)) for a in range(8) for b in range(8)])
+
+
+@pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_point_cloud_round_trip_keeps_bits(clone):
+    cloud = PointCloud(np.random.default_rng(14).standard_normal((50, 3)) * 1e-300)
+    other = clone(cloud)
+    assert type(other) is PointCloud
+    assert other.points.tobytes() == cloud.points.tobytes()
+    assert other.points.shape == cloud.points.shape
+    assert other.points.flags.c_contiguous and not other.points.flags.writeable
+    with pytest.raises(AttributeError):
+        other.points = cloud.points
 
 
 def test_collinear5_matches_dense(collinear5):

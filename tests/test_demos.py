@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SKIP = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
+SKIP = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_work"}
 
 
 def checkout_files():
