@@ -11,8 +11,10 @@ identical JSON and CSV, and SVG identical up to the version comment
 line.  JSON payloads are {"meta": ..., "result": ...}; regions carry
 vertex arrays plus their generating halfplanes {b, a}.  The RNG is
 numpy's default_rng seeded from --seed; OS randomness is never used.
-regress --x0 solves its direction grid over the CPUs the process may use
-(forked children, see _fan_out); the bytes do not depend on how many.
+regress --x0 solves its direction grid, and the sweep behind contour and
+km marches its circle on clouds of 200 points or more, over the CPUs the
+process may use, in forked children (quantour._fork); the bytes do not
+depend on how many.
 
 Exit codes: 0 success, 2 degenerate tau (message names the nearest
 admissible levels), 3 degenerate data (message carries the offending
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _fork
 from .cloud import PointCloud, jitter
 from .contour import fixed_tau_region, probability_contents, sweep
 from .depth import depth_2d, depth_region_bruteforce_2d
@@ -524,64 +526,20 @@ def _cmd_regress(args):
 def _fan_out(solve, items):
     """``[solve(x) for x in items]``, in contiguous chunks over the allowed CPUs.
 
-    The parent solves the first chunk; each forked child solves one more
-    and pickles its list back through a pipe.  The parent solves a failed
-    child's chunk again itself, so an error is the one a serial loop raises.
-    Serial on one CPU, with another thread alive, without os.fork, or when
-    a chunk would hold fewer than _FORK_MIN_CHUNK items.
+    The parent solves the first chunk and forked children one more each
+    (_fork.fork_map).  The parent solves a failed child's chunk again
+    itself, so an error is the one a serial loop raises.  Serial when
+    _fork.workers() allows one process, or when a chunk would hold fewer
+    than _FORK_MIN_CHUNK items.
     """
-    import os
-    import pickle
-    import signal
-    import threading
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    chunks = min(cpus, len(items) // _FORK_MIN_CHUNK)
-    if chunks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    chunks = min(_fork.workers(), len(items) // _FORK_MIN_CHUNK)
+    if chunks < 2:
         return [solve(x) for x in items]
     cuts = [len(items) * i // chunks for i in range(chunks + 1)]
-    children = []  # [pid, read end, lo, hi]; None once reaped, closed or not forked
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the parent solves this chunk
-                os.close(r)
-                os.close(w)
-                children.append([None, None, lo, hi])
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(r)
-                    with open(w, "wb") as pipe:
-                        pickle.dump([solve(x) for x in items[lo:hi]], pipe,
-                                    pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children.append([pid, r, lo, hi])
-        out = [solve(x) for x in items[: cuts[1]]]
-        for child in children:
-            pid, r, lo, hi = child
-            status = 1
-            if pid is not None:
-                with open(r, "rb") as pipe:
-                    child[1] = None
-                    data = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                child[0] = None
-            out += pickle.loads(data) if status == 0 else [solve(x) for x in items[lo:hi]]
-        return out
-    finally:
-        for pid, r, _, _ in children:
-            if r is not None:
-                os.close(r)
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    parts = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    done = _fork.fork_map([lambda part=part: [solve(x) for x in part] for part in parts])
+    return [y for part, got in zip(parts, done)
+            for y in ([solve(x) for x in part] if got is _fork.FAILED else got)]
 
 
 def _cmd_fig2(args):

@@ -10,6 +10,13 @@ in closed form.  The sweep marches arc to arc with warm-started pivots,
 and the arcs must tile the circle exactly.  ``_enumerate_arcs``, which
 scans every point pair's arc, is kept as the tests' independent oracle.
 
+Once an arc is appended, the march ahead depends only on that arc.  So
+from _FORK_MIN_POINTS points on, the circle is cut at one seam angle per
+further allowed CPU, a cold solve at each seam gives the arc there, and
+the chunks between seams are marched side by side in forked children
+(quantour._fork), then joined at the seam arcs.  The arcs, n_pivots and
+any error are the serial march's, on any number of CPUs.
+
 Each arc's representative hyperplane, taken at the arc midpoint, is
 rebuilt from its basis and certified (orientation, dual box, multiplier
 identity, coverage bound) in blocks of arcs: arrays of arcs x points, with
@@ -26,6 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _fork
 from .cloud import PointCloud
 from .errors import (
     ArcGap,
@@ -33,6 +41,7 @@ from .errors import (
     DegenerateDesign,
     DimensionMismatch,
     NoConvergence,
+    QuantourError,
     SingularSystem,
 )
 from .geometry import (
@@ -55,6 +64,12 @@ MIN_WIDTH = 1e-12
 # take 1 MB each; blocks of 2**18 elements and more measured slower
 _CERT_BLOCK_ELEMENTS = 1 << 16
 _UNIT = np.eye(2)
+# Fewest points for which the sweep marches in forked chunks.  On a 2-core
+# Xeon, one BLAS thread, in a process that had run the n = 1000 contour and
+# km jobs, two chunks saved -50 to +11 ms a sweep at n = 100, 3 to 22 ms at
+# n = 130-140 and 50 to 70 ms (25-35 %) at n = 200; a fork and pipe round
+# trip takes 2.5-4 ms and a seam's cold solve about 1 ms.
+_FORK_MIN_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -200,8 +215,10 @@ def sweep(cloud: PointCloud, tau: float) -> SweepResult:
     """All tau-u quantile hyperplanes for u over the unit circle.
 
     Solves once at phi = 0, then advances breakpoint to breakpoint with
-    warm-started pivots.  Verifies that the arcs tile the circle and that
-    no basis repeats, raising ArcGap otherwise.
+    warm-started pivots: from _FORK_MIN_POINTS points on, in angular
+    chunks over the allowed CPUs, with the serial march's arcs, n_pivots
+    and errors.  Verifies that the arcs tile the circle and that no basis
+    repeats, raising ArcGap otherwise.
     """
     if cloud.k != 2:
         raise DimensionMismatch("sweep expects a planar cloud")
@@ -220,6 +237,15 @@ def _march_arcs(cloud: PointCloud, tau: float, scale: float):
     Probes build [1, z gamma] as ``regression._design`` does.  As |u_i|,
     |gamma_i| <= 1, |z'u| and |z'gamma| are below 2 ``scale``: only if that
     overflows is each probe's design checked to be finite.
+
+    From n = _FORK_MIN_POINTS on, the circle past the first arc is cut at
+    one seam per further allowed CPU.  Each chunk marches from its seam's
+    record to the next seam's, the first in this process and each other
+    in a forked child, and holds the serial march's records and pivots for
+    its stretch.  A chunk that never meets its next seam (a tie there)
+    marches on to the end of the circle, and the chunks after it are
+    dropped.  From a chunk that fails, or would take the probes to the
+    budget, this process marches the rest itself.
     """
     z = cloud.points
     n = z.shape[0]
@@ -238,22 +264,76 @@ def _march_arcs(cloud: PointCloud, tau: float, scale: float):
         return sol, (i, j, 1 if float(_perp(z[j] - z[i]) @ u) > 0.0 else -1)
 
     sol, key = solve_at(0.0, None)
-    pivots = sol.pivots
     arc = _arc_for_basis(z, tau, *key, scale)
     if arc is None:
         raise ArcGap("initial basis has an empty validity arc")
-    lo0, hi0 = _align(*arc, anchor=0.0)
-    records = [(lo0, hi0, *key)]
-    cursor = hi0
-    target = lo0 + TWO_PI
-    advance = MIN_ADVANCE
-    max_probes = 16 * n * n + 256
+    first = (*_align(*arc, anchor=0.0), *key)
+    target = first[0] + TWO_PI
+    budget = 16 * n * n + 256
 
-    for _probe_count in range(max_probes):
+    def march(start, stop, budget):
+        return _march(solve_at, z, tau, scale, start, target, stop, budget)
+
+    seams = []
+    if n >= _FORK_MIN_POINTS:
+        # angles that cut (end of the first arc, target) into equal chunks
+        lo, chunks = first[1], _fork.workers()
+        angles = [lo + (target - lo) * c / chunks for c in range(1, chunks)]
+        seams = _seams(solve_at, z, tau, scale, angles)
+    starts, stops = [first] + seams, seams + [None]
+    parts = _fork.fork_map([
+        lambda a=a, b=b: march(a, b, budget) for a, b in zip(starts, stops)
+    ])
+    records, pivots, probes = [first], sol.pivots, 0
+    for stop, part in zip(stops, parts):
+        if part is _fork.FAILED or probes + part[2] >= budget:
+            break
+        records += part[0]
+        pivots += part[1]
+        probes += part[2]
+        if part[0][-1:] != [stop]:  # the chunk closed the circle
+            return records, pivots
+    rest, more, _ = march(records[-1], None, budget - probes)
+    return records + rest, pivots + more
+
+
+def _seams(solve_at, z, tau, scale, angles):
+    """The record of the arc at each angle, from a cold solve there.
+
+    Returns [] when a solve or an arc fails: the serial march makes no
+    cold solve at these angles, so their errors are not the sweep's.
+    """
+    seams = []
+    for theta in angles:
+        try:
+            _sol, key = solve_at(theta, None)
+            arc = _arc_for_basis(z, tau, *key, scale)
+        except (QuantourError, np.linalg.LinAlgError):
+            return []
+        if arc is None:
+            return []
+        seams.append((*_align(*arc, anchor=theta), *key))
+    return seams
+
+
+def _march(solve_at, z, tau, scale, start, target, stop, budget):
+    """Arc-to-arc march from record ``start``; returns (records, pivots, probes).
+
+    The records follow ``start``.  The march stops on appending the record
+    ``stop``, or on closing the circle at ``target``.  Once it has made
+    ``budget`` probes without stopping, it raises ArcGap.
+    """
+    cursor = start[1]
+    advance = MIN_ADVANCE
+    records, prev = [], start
+    pivots = probes = 0
+    while True:
+        if probes == budget:
+            raise ArcGap("sweep did not close the circle within its probe budget")
         if cursor >= target - TILE_TOL:
             break
+        probes += 1
         phi = min(cursor + advance, 0.5 * (cursor + target))
-        prev = records[-1]
         sol, key = solve_at(phi, warm=prev[2:4])
         pivots += sol.pivots
         if key == tuple(prev[2:]):
@@ -270,15 +350,16 @@ def _march_arcs(cloud: PointCloud, tau: float, scale: float):
             # a thinner arc hides between cursor and lo: bisect into the gap
             advance = max(0.5 * (lo - cursor), MIN_ADVANCE)
             continue
-        records.append((lo, hi, *key))
+        prev = (lo, hi, *key)
+        records.append(prev)
         cursor = hi
         advance = MIN_ADVANCE
-    else:
-        raise ArcGap("sweep did not close the circle within its probe budget")
+        if prev == stop:
+            return records, pivots, probes
 
     if cursor > target + TILE_TOL:
         raise ArcGap("final arc overshoots the starting boundary")
-    return records, pivots
+    return records, pivots, probes
 
 
 def _enumerate_arcs(z, tau, scale):

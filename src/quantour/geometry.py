@@ -29,6 +29,8 @@ GEOM_TOL = 1e-9
 UNIT_TOL = 1e-12
 # initial bounding-box half-width factor for clipping
 BOX_FACTOR = 1e6
+# smallest normal double: a direction's v'v below it has lost bits
+_TINY = np.finfo(float).tiny
 
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
@@ -61,10 +63,16 @@ class Direction:
         v = np.array(vector, dtype=float).ravel()
         if v.size == 0 or not np.isfinite(v).all():
             raise DimensionMismatch("direction must be a finite vector")
-        norm = vector_norm(v)
-        if norm == 0.0:
+        if not v.any():
             raise ValueError("direction must be nonzero")
-        v /= norm
+        with np.errstate(over="ignore"):
+            sq = v.dot(v)
+        if sq == np.inf or sq < _TINY:
+            # v'v overflows or underflows: scale max|v| to 1 first.  Every
+            # other vector is divided by its norm alone, which keeps its bits.
+            v /= np.abs(v).max()
+            sq = v.dot(v)
+        v /= math.sqrt(sq)
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 

@@ -1,5 +1,7 @@
 """Shared fixtures for the quantour test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,26 @@ def square():
 @pytest.fixture
 def collinear5():
     return np.array([[float(i), 2.0 * float(i)] for i in range(5)])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two allowed CPUs on any machine, and the pid of every child forked."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -22,6 +22,8 @@ from quantour import (
 )
 from quantour import cli as cli_module
 from quantour.cli import ingest_csv, main, region_from_payload, region_payload
+from quantour.contour import _FORK_MIN_POINTS
+from conftest import assert_reaped
 
 FIXTURES = resources.files("quantour") / "fixtures"
 HEX = str(FIXTURES / "hexagon.csv")
@@ -117,6 +119,16 @@ def test_quantile_fixture_values(tmp_path, capsys):
     assert abs(h["multiplier"] - 0.2) <= 1e-12
     assert h["fitted"] == [0, 1]
     assert payload["meta"]["command"] == "quantile"
+
+
+@pytest.mark.parametrize("command", ["quantile", "regress"])
+def test_a_huge_direction_gives_the_bytes_of_its_unit_vector(capsys, tmp_path, command):
+    src = HEX if command == "quantile" else regression_csv(tmp_path, 1, 2)
+    outs = []
+    for u in ("1,0", "1e200,0"):
+        assert main([command, "-i", src, "--tau", "0.3051", "--u", u]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
 
 
 def test_degenerate_tau_exit_2(capsys):
@@ -462,23 +474,6 @@ def cut_argv(tmp_path):
             "--grid", str(CUT_GRID)]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Two allowed CPUs on any machine, and the pid of every child forked."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return pids
-
-
 def fail_from(monkeypatch, first):
     """Make every cut direction from grid index ``first`` on raise, naming its index."""
     fit = cli_module.regression_quantile
@@ -492,10 +487,13 @@ def fail_from(monkeypatch, first):
     monkeypatch.setattr(cli_module, "regression_quantile", failing_fit)
 
 
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+def pinned_stdout(argv):
+    """stdout of the CLI in a subprocess pinned to one CPU before it imports quantour."""
+    pin = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+           "from quantour.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", pin, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True).stdout
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
@@ -504,12 +502,18 @@ def test_cut_bytes_match_a_run_pinned_to_one_cpu(capsys, tmp_path, forks):
     assert main(argv) == 0
     fanned = capsys.readouterr().out
     assert len(forks) == 1
-    pin = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-           "from quantour.cli import main; sys.exit(main(sys.argv[1:]))")
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    pinned = subprocess.run([sys.executable, "-c", pin, *argv], env=dict(os.environ, PYTHONPATH=src),
-                            capture_output=True, text=True, timeout=120, check=True)
-    assert pinned.stdout == fanned
+    assert pinned_stdout(argv) == fanned
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_contour_bytes_match_a_run_pinned_to_one_cpu(capsys, tmp_path, forks):
+    z = np.random.default_rng(98).standard_normal((_FORK_MIN_POINTS, 2))
+    path = write(tmp_path, "cloud.csv", "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in z.tolist()))
+    argv = ["contour", "-i", path, "--tau", "0.1785"]
+    assert main(argv) == 0
+    forked = capsys.readouterr().out
+    assert len(forks) == 1
+    assert pinned_stdout(argv) == forked
 
 
 @pytest.mark.parametrize("first", [1, CUT_GRID // 2, CUT_GRID - 5], ids=["parent", "child", "late"])

@@ -1,6 +1,9 @@
 """Fixed-tau directional sweep and the resulting contour regions."""
 
 import hashlib
+import os
+import threading
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -30,7 +33,7 @@ from quantour.errors import DegenerateDesign
 from quantour.geometry import Direction, orthocomplement_basis, vector_norm
 from quantour.qr import QrProblem, check_loss, solve_qr
 from quantour.regression import _design, _location_stationarity_solve
-from conftest import SQRT3, make_cloud
+from conftest import SQRT3, assert_reaped, make_cloud
 
 RNG = np.random.default_rng
 TWO_PI = 2.0 * np.pi
@@ -724,6 +727,8 @@ def test_probe_path_matches_former_solve_at(n, scale, tau, seed, monkeypatch):
     # the sweep must call solve_qr through contour's module-level name,
     # where the benchmark tracer counts every probe
     monkeypatch.setattr(contour_module, "solve_qr", recording_solve(got_log))
+    # one allowed CPU, so every probe runs in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     result = sweep(cloud, tau)
     assert got_log == want_log
     assert result.n_pivots == want_pivots
@@ -796,3 +801,154 @@ def test_extreme_scale_errors_are_unchanged(z, error, message):
     with pytest.raises(error) as info:
         reference_sweep(cloud, 0.2017)
     assert type(info.value) is error and str(info.value) == message
+
+
+# ------------------------------------------------------------ forked chunks
+
+FORK_N = contour_module._FORK_MIN_POINTS
+
+
+def one_cpu_sweep(monkeypatch, cloud, tau):
+    """The serial march's table: one allowed CPU."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return sweep(cloud, tau)
+
+
+def allow_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def assert_same_sweep(got, want):
+    assert got.n_pivots == want.n_pivots
+    assert_same_table(got, want)
+
+
+@pytest.mark.parametrize(
+    "cpus, n, tau, seed",
+    [(2, FORK_N, 0.1785, 90), (3, FORK_N, 0.0505, 91), (2, 333, 0.3051, 92), (3, 333, 0.1785, 93)],
+)
+def test_forked_sweep_matches_the_serial_march(monkeypatch, forks, cpus, n, tau, seed):
+    cloud = make_cloud(seed, n)
+    calls = []
+    solve = contour_module.solve_qr
+
+    def counted_solve(problem, initial_basis=None):
+        calls.append(os.getpid())
+        return solve(problem, initial_basis=initial_basis)
+
+    monkeypatch.setattr(contour_module, "solve_qr", counted_solve)
+    want = one_cpu_sweep(monkeypatch, cloud, tau)
+    serial_calls = len(calls)
+    allow_cpus(monkeypatch, cpus)
+    got = sweep(cloud, tau)
+    assert len(forks) == cpus - 1
+    assert_reaped(forks)
+    assert_same_sweep(got, want)
+    # the children took their chunks' probes: this process made about 1/cpus
+    assert len(calls) - serial_calls < 0.75 * serial_calls
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("side", [0, 1], ids=["start", "end"])
+def test_seams_on_arc_boundaries_give_the_serial_bytes(monkeypatch, forks, cpus, side):
+    cloud = make_cloud(94, FORK_N)
+    want = one_cpu_sweep(monkeypatch, cloud, 0.1785)
+    m = len(want.arcs)
+    # the start of a serial arc, or the end of the one before it
+    bounds = [float(want.arcs[m * c // cpus - side, side]) for c in range(1, cpus)]
+    seams = contour_module._seams
+    monkeypatch.setattr(contour_module, "_seams",
+                        lambda solve_at, z, tau, scale, angles: seams(solve_at, z, tau, scale, bounds))
+    allow_cpus(monkeypatch, cpus)
+    assert_same_sweep(sweep(cloud, 0.1785), want)
+    assert len(forks) == cpus - 1
+
+
+def test_a_seam_the_march_never_meets_gives_the_serial_bytes(monkeypatch, forks):
+    cloud = make_cloud(95, FORK_N)
+    want = one_cpu_sweep(monkeypatch, cloud, 0.1785)
+    # the seam's arc under the key of the arc at angle 0, about pi away: the
+    # march never appends that record, so the first chunk marches the whole
+    # circle, and the child's chunk, warm-started from that key, is dropped
+    far = (*want.fitted[0].tolist(), int(want.orientation[0]))
+    seams = contour_module._seams
+    monkeypatch.setattr(contour_module, "_seams",
+                        lambda *args: [(lo, hi, *far) for lo, hi, *_ in seams(*args)])
+    assert_same_sweep(sweep(cloud, 0.1785), want)
+    assert len(forks) == 1
+
+
+def fail_between(monkeypatch, lo, hi, message):
+    """Make the sweep's frame raise at every angle in [lo, hi)."""
+    frame = contour_module._planar_frame
+
+    def failing(phi):
+        if lo <= phi < hi:
+            raise NoConvergence(f"{message} at angle {phi!r}")
+        return frame(phi)
+
+    monkeypatch.setattr(contour_module, "_planar_frame", failing)
+
+
+@pytest.mark.parametrize("lo", [1.0, 2.8], ids=["parent", "child"])
+def test_a_failing_chunk_gives_the_serial_error(monkeypatch, forks, lo):
+    # on three CPUs the seams lie near 2 pi / 3 and 4 pi / 3, outside both
+    # windows; the second one fails the middle chunk, which a child marches
+    cloud = make_cloud(96, FORK_N)
+    fail_between(monkeypatch, lo, lo + 0.5, "injected failure")
+    allow_cpus(monkeypatch, 3)
+    with pytest.raises(NoConvergence) as forked:
+        sweep(cloud, 0.1785)
+    assert len(forks) == 2
+    assert_reaped(forks)
+    with pytest.raises(NoConvergence) as serial:
+        one_cpu_sweep(monkeypatch, cloud, 0.1785)
+    assert len(forks) == 2
+    assert str(forked.value) == str(serial.value)
+    assert str(serial.value).startswith("injected failure at angle ")
+
+
+def test_a_failure_in_the_parent_chunk_kills_every_child(monkeypatch, forks):
+    parent = os.getpid()
+    frame = contour_module._planar_frame
+
+    def sleepy_frame(phi):
+        if os.getpid() != parent and not slept:  # each child's first probe
+            slept.append(phi)
+            time.sleep(30)
+        return frame(phi)
+
+    slept = []
+
+    monkeypatch.setattr(contour_module, "_planar_frame", sleepy_frame)
+    # on three CPUs the seams lie near 2 pi / 3 and 4 pi / 3
+    fail_between(monkeypatch, 1.0, 1.5, "the parent's chunk failed")
+    allow_cpus(monkeypatch, 3)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match="the parent's chunk failed"):
+        sweep(make_cloud(97, FORK_N), 0.1785)
+    assert time.perf_counter() - start < 10
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_the_sweep_stays_serial_below_the_minimum_n(forks):
+    sweep(make_cloud(98, FORK_N - 1), 0.1785)
+    assert forks == []
+
+
+def test_the_sweep_stays_serial_while_another_thread_runs(forks):
+    cloud = make_cloud(99, FORK_N)
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        serial = sweep(cloud, 0.1785)
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert forks == []
+    assert_same_sweep(sweep(cloud, 0.1785), serial)
+    assert len(forks) == 1

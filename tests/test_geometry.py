@@ -45,6 +45,31 @@ def test_direction_rejects_zero():
         Direction(np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "v, want",
+    [((1e200, 0.0), (1.0, 0.0)), ((0.0, -1e300), (0.0, -1.0)), ((1e-200, 0.0), (1.0, 0.0)),
+     ((0.0, 0.0, 5e-324), (0.0, 0.0, 1.0))],
+)
+def test_direction_scales_huge_and_tiny_vectors(v, want):
+    # v'v overflows to inf, or underflows below the smallest normal double
+    assert Direction(np.array(v)).vector.tolist() == list(want)
+
+
+def test_direction_of_a_tiny_diagonal_is_within_an_ulp():
+    half = np.sqrt(0.5)
+    u = Direction(np.array([1e-200, 1e-200])).vector
+    assert np.all(np.abs(u - half) <= np.spacing(half))
+
+
+def test_direction_keeps_the_bits_of_ordinary_vectors():
+    rng = RNG(14)
+    for _ in range(500):
+        v = rng.standard_normal(int(rng.integers(2, 6))) * 10.0 ** rng.uniform(-100, 100)
+        # the normalisation before huge and tiny vectors were scaled first
+        want = v / np.sqrt(v.dot(v))
+        assert Direction(v).vector.tobytes() == want.tobytes()
+
+
 def test_direction_from_angle():
     u = Direction.from_angle(np.pi / 2.0)
     assert np.allclose(u.vector, [0.0, 1.0], atol=1e-15)
