@@ -10,7 +10,6 @@ kinks.  The sweep gives the exact region at K = infinity for free.
 import numpy as np
 
 from quantour import (
-    EnvelopeConfig,
     PointCloud,
     compare_regions,
     fixed_tau_region,
@@ -31,7 +30,7 @@ def main():
     print(f"\n{'K':>6} {'facets':>7} {'area gap':>12} {'hausdorff':>12} contains")
     prev = None
     for K in (7, 21, 64, 201, 2001):
-        env = km_envelope(cloud, EnvelopeConfig(K=K, tau=tau))
+        env = km_envelope(cloud, tau, K)
         cmp = compare_regions(exact, env)
         ratio = "" if prev is None else f"  ({prev / cmp.area_gap:.2f}x smaller)"
         print(

@@ -58,13 +58,7 @@ from .contour import (
     probability_contents,
     sweep,
 )
-from .km import (
-    EnvelopeConfig,
-    RegionComparison,
-    compare_regions,
-    km_envelope,
-    km_hyperplane,
-)
+from .km import RegionComparison, compare_regions, km_envelope
 from .regression import (
     CoverageDiagnostic,
     RegressionProblem,

@@ -53,7 +53,8 @@ from .errors import (
     QuantourError,
 )
 from .geometry import BOUNDED, OUTSIDE, ConvexRegion2D, Direction
-from .km import EnvelopeConfig, compare_regions, km_envelope
+from .km import compare_regions, km_envelope
+from .qr import validate_tau
 from .regression import (
     RegressionProblem,
     coverage_diagnostic,
@@ -98,11 +99,12 @@ def _regression_layout(header):
 def ingest_csv(path):
     """Parse a CSV file into a cloud or a regression design.
 
-    Returns (kind, data, warnings) with kind "cloud" (data: PointCloud)
-    or "regression" (data: (X, Y) arrays).  Regression mode is chosen
+    Returns (kind, data) with kind "cloud" (data: PointCloud) or
+    "regression" (data: (X, Y) arrays).  Regression mode is chosen
     when every header name matches x<i>/y<j>; the tags must then read
     x1..xq, y1..yk in order.  Non-finite or non-numeric cells and ragged
-    rows are rejected with their 1-based line number.
+    rows are rejected with their 1-based line number.  Duplicate rows are
+    left to the general-position check, which names them.
     """
     text = Path(path).read_text(encoding="utf-8")
     rows = list(csv.reader(io.StringIO(text)))
@@ -128,15 +130,10 @@ def ingest_csv(path):
     if not data:
         raise EmptyInput()
     M = np.array(data, dtype=float)
-    warnings = []
     if layout is not None:
         q, k = layout
-        return "regression", (M[:, :q], M[:, q:]), warnings
-    cloud = PointCloud(M)
-    dups = cloud.rows_with_duplicates()
-    if dups:
-        warnings.append(f"multiple identical observations at rows {dups}")
-    return "cloud", cloud, warnings
+        return "regression", (M[:, :q], M[:, q:])
+    return "cloud", PointCloud(M)
 
 
 def _heal_cloud(args, data: PointCloud) -> PointCloud:
@@ -156,8 +153,7 @@ def _heal_cloud(args, data: PointCloud) -> PointCloud:
 
 def _read_cloud(args) -> PointCloud:
     """Ingest a plain coordinate file, without the general-position check."""
-    kind, data, warnings = ingest_csv(args.input)
-    args.warnings.extend(warnings)
+    kind, data = ingest_csv(args.input)
     if kind != "cloud":
         raise HeaderMismatch(
             f"the {args.command} command expects plain coordinate columns"
@@ -414,9 +410,11 @@ def _cmd_depth(args):
 
 
 def _cmd_km(args):
-    cfg = EnvelopeConfig(K=args.K, tau=args.tau)
+    if args.K < 3:
+        raise ValueError(f"need at least 3 directions, got K={args.K}")
+    validate_tau(args.tau)
     cloud = _load_cloud(args)
-    envelope = km_envelope(cloud, cfg)
+    envelope = km_envelope(cloud, args.tau, args.K)
     exact = fixed_tau_region(sweep(cloud, args.tau))
     comparison = compare_regions(exact, envelope)
     result = {
@@ -477,8 +475,7 @@ def _cmd_scan(args):
 
 def _cmd_regress(args):
     x0 = None if args.x0 is None else _parse_vector(args.x0)
-    kind, data, warnings = ingest_csv(args.input)
-    args.warnings.extend(warnings)
+    kind, data = ingest_csv(args.input)
     X, Y = (np.zeros((data.n, 0)), data.points) if kind == "cloud" else data
     k = Y.shape[1]
     if x0 is not None:
@@ -486,6 +483,8 @@ def _cmd_regress(args):
             raise ValueError("cuts are defined for k=2 response spaces")
         if len(x0) != X.shape[1]:
             raise ValueError(f"--x0 has {len(x0)} coordinates, the design has {X.shape[1]} regressors")
+        if not all(map(math.isfinite, x0)):
+            raise ValueError(f"--x0 must be finite, got {args.x0!r}")
         directions = response_direction_grid(args.grid)
     u = Direction(np.array(_parse_vector(args.u, k), dtype=float))
     if kind == "cloud":
@@ -622,7 +621,8 @@ def _emit(args, payload, rows, svg) -> None:
     for w in args.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # strict JSON: a NaN or an infinity raises ValueError (exit 1)
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

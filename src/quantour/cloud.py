@@ -84,33 +84,6 @@ class PointCloud:
     def __repr__(self):
         return f"PointCloud(n={self.n}, k={self.k})"
 
-    def duplicate_rows(self, tol: float = GENERAL_POSITION_TOL):
-        """Every pair (i, j), i < j, of rows within ``tol * max|z|`` in every coordinate.
-
-        Pairs come in ascending order.  c copies of one row make c(c - 1)/2
-        pairs; :meth:`rows_with_duplicates` lists the rows alone.
-        """
-        value, (u, v) = _close_values(self.points, tol)
-        order = np.argsort(value, kind="stable")
-        size = np.bincount(value)
-        start = np.cumsum(size) - size
-        # pairs of rows with equal values ...
-        end = (start + size)[value[order]]
-        first, step = _successor_steps(end - np.arange(self.n) - 1)
-        same = np.column_stack([order[first], order[first + step]])
-        # ... and every row of value u with every row of value v
-        entry, t = _successor_steps(size[u] * size[v])
-        t -= 1
-        near = np.column_stack(
-            [
-                order[start[u[entry]] + t // size[v[entry]]],
-                order[start[v[entry]] + t % size[v[entry]]],
-            ]
-        )
-        pairs = np.sort(np.concatenate([same, near]), axis=1)
-        pairs = pairs[np.lexsort(pairs.T[::-1])]
-        return [tuple(p) for p in pairs.tolist()]
-
     def rows_with_duplicates(self, tol: float = GENERAL_POSITION_TOL):
         """Ascending rows with another row within ``tol * max|z|`` in every coordinate."""
         value, (u, v) = _close_values(self.points, tol)

@@ -382,6 +382,9 @@ def _enumerate_arcs(z, tau, scale):
 def _finalize(z, tau, raw):
     """Normalize records, verify the tiling and key uniqueness, certify.
 
+    Each arc must come as one record: the march's first arc contains angle
+    0 and its last ends where the first starts, and the enumeration emits
+    each arc once, so an arc split at 0 repeats its key and raises ArcGap.
     Returns SweepResult's columns, in its field order.
     """
     if not raw:
@@ -392,14 +395,6 @@ def _finalize(z, tau, raw):
         start = float(np.remainder(lo, TWO_PI))
         norm.append((start, start + (hi - lo), i, j, s))
     norm.sort(key=lambda rec: rec[0])
-
-    # merge a wrapped tail with its head (same basis split across 0)
-    if len(norm) >= 2:
-        first, last = norm[0], norm[-1]
-        if first[2:] == last[2:] and abs(last[1] - TWO_PI - first[0]) <= TILE_TOL:
-            merged = (last[0], last[1] + (first[1] - first[0]), *last[2:])
-            norm = norm[1:-1] + [merged]
-            norm.sort(key=lambda rec: rec[0])
 
     total = sum(rec[1] - rec[0] for rec in norm)
     if abs(total - TWO_PI) > TILE_TOL * max(4, len(norm)):

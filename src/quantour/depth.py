@@ -15,7 +15,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DimensionMismatch
-from .geometry import ConvexRegion2D, Direction, intersect_halfplanes_2d
+from .geometry import ConvexRegion2D, intersect_halfplanes_2d
 from .qr import validate_tau
 
 # residual tolerance: boundary ties count as inside the closed halfplane
@@ -110,26 +110,21 @@ def _pair_halfplanes(cloud: PointCloud, tau: float) -> np.ndarray:
     return np.column_stack([normals, offsets])
 
 
-def depth_kd_approx(cloud: PointCloud, x, K: int, seed: int = 0, directions=None) -> DepthValue:
+def depth_kd_approx(cloud: PointCloud, x, K: int, seed: int = 0) -> DepthValue:
     """Upper bound on halfspace depth from K sampled directions.
 
     For each direction the one-sided count #{i : u'(z_i - x) >= -tol} is
     an upper bound on the depth; the minimum over directions tightens it.
-    Deterministic given ``seed``; pass ``directions`` explicitly to
-    evaluate fixed directions instead (K is then ignored).
+    Deterministic given ``seed``.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != cloud.k:
         raise DimensionMismatch(f"point has k={x.shape[0]}, cloud has k={cloud.k}")
-    if directions is None:
-        if K < 1:
-            raise ValueError("K must be >= 1")
-        rng = np.random.default_rng(seed)
-        U = rng.normal(size=(int(K), cloud.k))
-        U /= np.linalg.norm(U, axis=1)[:, None]
-    else:
-        U = np.array([d.vector if isinstance(d, Direction) else Direction(d).vector
-                      for d in directions])
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(int(K), cloud.k))
+    U /= np.linalg.norm(U, axis=1)[:, None]
     scale = 1.0 + float(np.abs(cloud.points).max())
     side = (cloud.points - x) @ U.T >= -BOUNDARY_TOL * scale
     best = int(side.sum(axis=0).min())

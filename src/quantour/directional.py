@@ -28,6 +28,9 @@ from .geometry import Direction
 from .qr import solve_qr, validate_tau
 from .regression import _certify, _design, _lift, _location_stationarity_solve, _reduced_problem
 
+# multiplier_scan flags multipliers more than FLAG_C MADs above the median
+FLAG_C = 3.0
+
 
 @dataclass(frozen=True)
 class QuantileHyperplane:
@@ -173,16 +176,14 @@ class MultiplierSeries:
         indices otherwise.
     median, mad : robust location/scatter of the multipliers.
     flagged : indices into ``entries`` whose multiplier exceeds
-        median + flag_c * MAD; empty when fewer than 2 entries (MAD
+        median + FLAG_C * MAD; empty when fewer than 2 entries (MAD
         undefined).
-    flag_c : the threshold multiplier, always 3.0.
     """
 
     entries: tuple
     median: float
     mad: float
     flagged: tuple
-    flag_c: float
 
 
 def multiplier_scan(cloud: PointCloud, tau: float, directions) -> MultiplierSeries:
@@ -190,11 +191,10 @@ def multiplier_scan(cloud: PointCloud, tau: float, directions) -> MultiplierSeri
 
     Directions pointing away from an outlying mass produce large
     multipliers, so the flagged entries localize outliers by angle: those
-    more than 3 MAD above the median.  Any per-direction error propagates
-    with the direction recorded in its notes; no direction at all raises
-    ValueError.
+    more than FLAG_C = 3 MAD above the median.  Any per-direction error
+    propagates with the direction recorded in its notes; no direction at
+    all raises ValueError.
     """
-    flag_c = 3.0
     entries = []
     for idx, d in enumerate(directions):
         u = d if isinstance(d, Direction) else Direction(d)
@@ -213,10 +213,10 @@ def multiplier_scan(cloud: PointCloud, tau: float, directions) -> MultiplierSeri
     med = float(np.median(values))
     mad = float(np.median(np.abs(values - med)))
     if values.size >= 2:
-        flagged = tuple(i for i, (_, v) in enumerate(entries) if v > med + flag_c * mad)
+        flagged = tuple(i for i, (_, v) in enumerate(entries) if v > med + FLAG_C * mad)
     else:
         flagged = ()
-    return MultiplierSeries(tuple(entries), med, mad, flagged, flag_c)
+    return MultiplierSeries(tuple(entries), med, mad, flagged)
 
 
 def outlier_scenario(seed: int, step: int) -> PointCloud:

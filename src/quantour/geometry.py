@@ -360,7 +360,8 @@ def intersect_halfplanes_2d(halfplanes, method: str = "lazy") -> ConvexRegion2D:
     Raises
     ------
     DimensionMismatch
-        Input not of shape (m, 3), or a row with a zero or non-finite b.
+        Input not of shape (m, 3), or a row with a zero or non-finite b
+        or a non-finite a.
     SingularSystem
         If the numerical clipping cannot certify its result.
     """
@@ -377,6 +378,8 @@ def intersect_halfplanes_2d(halfplanes, method: str = "lazy") -> ConvexRegion2D:
     norms = np.sqrt(np.vecdot(B, B))
     if not ((norms > 0.0) & (norms < np.inf)).all():
         raise DimensionMismatch("hyperplane normal must be finite and nonzero")
+    if not np.isfinite(H[:, 2]).all():
+        raise DimensionMismatch("halfplane offset must be finite")
     B, A, angles = _dedupe_directions(B / norms[:, None], H[:, 2] / norms)
 
     # recession analysis via cyclic gaps between normal angles

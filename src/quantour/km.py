@@ -21,59 +21,27 @@ from .geometry import (
     BOUNDED,
     OUTSIDE,
     ConvexRegion2D,
-    Direction,
     hausdorff_distance,
     intersect_halfplanes_2d,
 )
 from .qr import validate_tau
 
 
-@dataclass(frozen=True)
-class EnvelopeConfig:
-    """Equispaced-direction envelope settings.
+def km_envelope(cloud: PointCloud, tau: float, K: int) -> ConvexRegion2D:
+    """Intersection of the K upper halfspaces {u_j'z >= q_j}; at most K facets.
 
-    K directions phi_j = 2 pi j / K; the directional quantile is
-    always the lower (ceil(n tau)-th) order statistic so the K -> infinity
-    limit matches the exact region convention.
+    The directions are u_j at angle 2 pi j / K, j = 0..K-1, for an integer
+    K of at least 3, and q_j is the lower (ceil(n tau)-th) order statistic
+    of the projections u_j'z_i, so the K -> infinity limit matches the
+    exact region convention.
     """
-
-    K: int
-    tau: float
-
-    def __post_init__(self):
-        if int(self.K) != self.K or self.K < 3:
-            raise ValueError(f"need at least 3 directions, got K={self.K}")
-        object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(self, "tau", validate_tau(self.tau))
-
-
-def km_hyperplane(cloud: PointCloud, tau: float, u) -> np.ndarray:
-    """u-orthogonal quantile hyperplane {z : u'z = q} as the row (u, q).
-
-    q is the ceil(n tau)-th ascending order statistic of the projections
-    u'z_i; the upper halfspace is {u'z >= q}.  The row is read-only; for
-    k = 2 it is the (b_1, b_2, a) row intersect_halfplanes_2d reads.
-    """
-    if not isinstance(u, Direction):
-        u = Direction(u)
-    tau = validate_tau(tau, cloud.n)
-    if u.k != cloud.k:
-        raise DimensionMismatch(f"direction has k={u.k}, cloud has k={cloud.k}")
-    m0 = math.ceil(cloud.n * tau)
-    proj = cloud.points @ u.vector
-    q = float(np.partition(proj, m0 - 1)[m0 - 1])
-    row = np.append(u.vector, q)
-    row.setflags(write=False)
-    return row
-
-
-def km_envelope(cloud: PointCloud, cfg: EnvelopeConfig) -> ConvexRegion2D:
-    """Intersection of the K upper halfspaces; at most K facets."""
+    if int(K) != K or K < 3:
+        raise ValueError(f"need at least 3 directions, got K={K}")
     if cloud.k != 2:
         raise DimensionMismatch("envelope construction expects a planar cloud")
-    tau = validate_tau(cfg.tau, cloud.n)
+    tau = validate_tau(tau, cloud.n)
     m0 = math.ceil(cloud.n * tau)
-    angles = 2.0 * np.pi * np.arange(cfg.K) / cfg.K
+    angles = 2.0 * np.pi * np.arange(K) / K
     U = np.column_stack([np.cos(angles), np.sin(angles)])
     proj = cloud.points @ U.T
     q = np.partition(proj, m0 - 1, axis=0)[m0 - 1]

@@ -337,10 +337,6 @@ class CoverageDiagnostic:
     bin_edges: tuple
     bin_counts: tuple
 
-    @property
-    def global_deviation(self) -> float:
-        return self.global_fraction - self.tau
-
     def binomial_scale(self) -> tuple:
         """Per-bin std-dev scale sqrt(tau (1-tau) / n_bin)."""
         return tuple(

@@ -17,7 +17,6 @@ from quantour import (
     OUTSIDE,
     DegenerateData,
     Direction,
-    EnvelopeConfig,
     PointCloud,
     QrProblem,
     RegressionProblem,
@@ -192,7 +191,7 @@ def test_criterion_5_envelope_comparison():
         gaps = []
         exact_facets = set()
         for K in ks:
-            env = km_envelope(cloud, EnvelopeConfig(K=K, tau=tau))
+            env = km_envelope(cloud, tau, K)
             cmp = compare_regions(exact, env)
             assert cmp.km_contains_exact
             assert cmp.facets_km <= K

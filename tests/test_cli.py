@@ -42,15 +42,14 @@ def write(tmp_path, name, text):
 
 def test_ingest_plain_cloud(tmp_path):
     path = write(tmp_path, "c.csv", "x,y\n0,0\n1,0\n0,1\n")
-    kind, data, warnings = ingest_csv(path)
+    kind, data = ingest_csv(path)
     assert kind == "cloud"
     assert data.points.shape == (3, 2)
-    assert warnings == []
 
 
 def test_ingest_skips_blank_lines_keeps_numbering(tmp_path):
     path = write(tmp_path, "c.csv", "x,y\n0,0\n\n1,0\n\n0,1\n")
-    kind, data, _ = ingest_csv(path)
+    kind, data = ingest_csv(path)
     assert data.points.shape == (3, 2)
 
 
@@ -82,7 +81,7 @@ def test_ingest_empty(tmp_path):
 
 def test_ingest_regression_layout(tmp_path):
     path = write(tmp_path, "r.csv", "x1,x2,y1,y2\n0,1,2,3\n4,5,6,7\n")
-    kind, data, _ = ingest_csv(path)
+    kind, data = ingest_csv(path)
     assert kind == "regression"
     X, Y = data
     assert X.shape == (2, 2) and Y.shape == (2, 2)
@@ -95,12 +94,19 @@ def test_ingest_header_order_enforced(tmp_path):
         ingest_csv(path)
 
 
-def test_ingest_duplicate_rows_warn(tmp_path):
+def test_ingest_duplicate_rows_warn(tmp_path, capsys):
+    # ingest leaves duplicates to the general-position check, which names
+    # the rows once: in the jitter warning, or in the exit-3 error
     path = write(tmp_path, "c.csv", "x,y\n1,1\n2,0\n1,1\n0,3\n")
-    kind, data, warnings = ingest_csv(path)
-    assert kind == "cloud"
-    assert len(warnings) == 1
-    assert "identical observations" in warnings[0]
+    kind, data = ingest_csv(path)
+    assert kind == "cloud" and data.n == 4
+    assert main(["depth", "-i", path, "--x", "1,0.5"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: degenerate input (duplicate points (rows [0, 2])); "
+        "applied jitter 1e-05 with seed 0\n"
+    )
+    assert main(["depth", "-i", path, "--x", "1,0.5", "--jitter", "0"]) == 3
+    assert capsys.readouterr().err.startswith("error: duplicate points (rows [0, 2])\n")
 
 
 # ---------------------------------------------------------------- exit codes
@@ -272,6 +278,17 @@ def test_depth_non_finite_point_exit_1(capsys, x):
     assert "finite point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_json_output_is_strict(capsys, monkeypatch, tmp_path, value):
+    # a non-finite float has no JSON spelling: exit 1, and nothing is written
+    monkeypatch.setattr(cli_module, "probability_contents", lambda region, cloud: value)
+    out = tmp_path / "c.json"
+    assert main(["contour", "-i", HEX, "--tau", "0.25", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert not out.exists()
+
+
 def test_km_contains_exact(capsys):
     code = main(["km", "-i", HEX, "--tau", "0.25", "--K", "21"])
     assert code == 0
@@ -389,6 +406,9 @@ def regression_csv(tmp_path, q, k, n=40):
         (1, 2, "1,0", "0.5,0.5", "--x0 has 2 coordinates, the design has 1 regressors"),
         (3, 2, "1,0", "0.5", "--x0 has 1 coordinates, the design has 3 regressors"),
         (1, 3, "1,0,0", "0.5", "cuts are defined for k=2 response spaces"),
+        (1, 2, "1,0", "nan", "--x0 must be finite, got 'nan'"),
+        (1, 2, "1,0", "inf", "--x0 must be finite, got 'inf'"),
+        (2, 2, "1,0", "0.5,-inf", "--x0 must be finite, got '0.5,-inf'"),
     ],
 )
 def test_regress_rejects_x0_before_fitting(capsys, monkeypatch, tmp_path, q, k, u, x0, message):

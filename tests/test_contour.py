@@ -513,20 +513,17 @@ def test_block_certification_matches_on_hexagon_and_small_blocks(hexagon, monkey
         assert_matches_reference(cloud, sweep(cloud, 0.178))
 
 
-def test_wrap_merged_arc_matches_per_arc_loop():
+def test_arc_split_at_zero_raises_arc_gap():
+    # the march emits the arc through zero as one record, so _finalize has
+    # no merge: the halves of a split repeat the arc's key, which raises
     cloud = make_cloud(88, 50)
     tau = 0.178
-    result = sweep(cloud, tau)
-    raw = records(result)
-    k = next(k for k, rec in enumerate(raw) if rec[1] > TWO_PI)
+    raw = records(sweep(cloud, tau))
+    (k,) = [k for k, rec in enumerate(raw) if rec[1] > TWO_PI]
     start, end, *key = raw[k]
-    # the arc through zero, split at zero: _finalize merges the halves
     split = raw[:k] + raw[k + 1 :] + [(start, TWO_PI, *key), (0.0, end - TWO_PI, *key)]
-    merged = table(cloud.points, tau, split)
-    assert len(merged.arcs) == len(raw)
-    wraps = merged.arcs[:, 1] > TWO_PI
-    assert wraps.sum() == 1 and merged.fitted[wraps].tolist() == [key[:2]]
-    assert_matches_reference(cloud, merged)
+    with pytest.raises(ArcGap, match="occurs in two disjoint arcs"):
+        table(cloud.points, tau, split)
 
 
 def test_fortran_ordered_input_gives_same_sweep():

@@ -305,6 +305,10 @@ def test_array_input_validation():
         intersect_halfplanes_2d(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         intersect_halfplanes_2d(np.array([[np.inf, 0.0, 0.0]]))
+    for a in (np.nan, np.inf, -np.inf):
+        for method in ("lazy", "eager"):
+            with pytest.raises(DimensionMismatch, match="offset must be finite"):
+                intersect_halfplanes_2d(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, a]]), method)
     assert intersect_halfplanes_2d(np.empty((0, 3))).status == UNBOUNDED
     # two methods, lazy by default
     square = np.array(
