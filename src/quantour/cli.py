@@ -96,6 +96,13 @@ def _regression_layout(header):
     return q, k
 
 
+def _finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 def ingest_csv(path):
     """Parse a CSV file into a cloud or a regression design.
 
@@ -103,16 +110,20 @@ def ingest_csv(path):
     "regression" (data: (X, Y) arrays).  Regression mode is chosen
     when every header name matches x<i>/y<j>; the tags must then read
     x1..xq, y1..yk in order.  Non-finite or non-numeric cells and ragged
-    rows are rejected with their 1-based line number.  Duplicate rows are
+    rows are rejected with their 1-based line number, and so is a first
+    row of numbers, which would otherwise be taken for the header.  A
+    byte-order mark (Excel's "CSV UTF-8") is dropped.  Duplicate rows are
     left to the general-position check, which names them.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     rows = list(csv.reader(io.StringIO(text)))
     rows = [(idx + 1, row) for idx, row in enumerate(rows)]
     rows = [(ln, row) for ln, row in rows if any(cell.strip() for cell in row)]
     if not rows:
         raise EmptyInput("input file is empty")
     header_line, header = rows[0]
+    if all(_finite_number(cell) for cell in header):
+        raise ParseError("missing header: the first row is all numbers", line=header_line)
     layout = _regression_layout(header)
     data = []
     for ln, row in rows[1:]:

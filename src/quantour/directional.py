@@ -26,7 +26,7 @@ from .errors import (
 )
 from .geometry import Direction
 from .qr import solve_qr, validate_tau
-from .regression import _certify, _design, _lift, _location_stationarity_solve, _reduced_problem
+from .regression import _certify, _design, _lift, _reduced_problem, _stationarity_solve
 
 # multiplier_scan flags multipliers more than FLAG_C MADs above the median
 FLAG_C = 3.0
@@ -112,7 +112,7 @@ def directional_quantile(cloud: PointCloud, tau: float, u) -> QuantileHyperplane
     except DegenerateDesign as exc:
         raise DegenerateData(f"cloud is degenerate along direction {u!r}: {exc}")
     a, d, b = _lift(sol, u, gamma, 0)
-    mult, duals = _location_stationarity_solve(z, u.vector, sol.fitted, sol.psi)
+    mult, duals = _stationarity_solve(X[:, :1], z, u.vector, sol.fitted, sol.psi)
     _certify(sol, mult, duals, z, u)
     return QuantileHyperplane(
         tau=tau,
@@ -138,7 +138,8 @@ def lagrange_multiplier(h: QuantileHyperplane, cloud: PointCloud) -> float:
     r = h.residual(cloud.points)
     ztol = 1e-9 * (1.0 + float(np.abs(cloud.points).max()))
     psi = np.where(r <= -ztol, h.tau - 1.0, h.tau)
-    mult, _ = _location_stationarity_solve(cloud.points, h.u.vector, h.fitted, psi)
+    ones = np.ones((cloud.n, 1))
+    mult, _ = _stationarity_solve(ones, cloud.points, h.u.vector, h.fitted, psi)
     if mult < -1e-9:
         raise SingularSystem(f"negative multiplier {mult:.12g} for a claimed optimum")
     return mult

@@ -3,9 +3,11 @@
 Directions are restricted to the response subspace: the hyperplane
 b'y = c'x + a with b'u = 1 minimizes the check loss of b'y_i - c'x_i - a.
 The location case is the special case with no regressors, so this
-module holds the one reduction (design, lift and certificates) that the
-directional quantile, the direction sweep and the regression fit share,
-and one exact solve handles any (p, k).  Fixed-x cuts assemble a
+module holds the one reduction (design, lift, stationarity solve and
+certificates) that the directional quantile and the regression fit
+share, and the direction sweep uses its problem hand-off.  One exact
+solve handles any (p, k), and with no regressors the regression fit
+returns the directional quantile's bits.  Fixed-x cuts assemble a
 response-space region from a grid of fitted directions, and the coverage
 diagnostic turns the lower-halfspace fractions into a binned linearity
 check.
@@ -220,55 +222,18 @@ def regression_quantile(rp: RegressionProblem) -> RegressionQuantile:
     )
 
 
-# Two stationarity solves remain because they round the intercept row
-# differently: the location case sums psi_N, the regression case takes the
-# product [1, X]_N' psi_N.  Summing changes the bits of 43 of the 80
-# regression multipliers of the benchmark's regression cuts (seeds 0-39),
-# and the committed output digests pin both roundings, so merging the two
-# waits for a benchmark change that records new digests.
-
-
-def _location_stationarity_solve(z, u_vec, fitted, psi):
-    """Multiplier and fitted duals of a location (no-regressor) fit.
-
-    Unknowns (lam, v_1..v_m) solve
-        sum_i psi_i = 0
-        lam * u = sum_i psi_i z_i
-    with the non-fitted psi fixed at tau / tau-1.  The system is square of
-    size k+1 because a nondegenerate fit has m = k points.
-    """
-    n, k = z.shape
-    fitted = list(fitted)
-    m = len(fitted)
-    mask = np.zeros(n, dtype=bool)
-    mask[fitted] = True
-    s0 = float(psi[~mask].sum())
-    s1 = z[~mask].T @ psi[~mask]
-    M = np.zeros((k + 1, m + 1))
-    M[0, 1:] = 1.0
-    M[1:, 0] = -u_vec
-    M[1:, 1:] = z[fitted].T
-    rhs = np.concatenate([[-s0], -s1])
-    if M.shape[0] != M.shape[1]:
-        raise SingularSystem(
-            f"stationarity system is not square: {m} fitted points, k={k}"
-        )
-    try:
-        w = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystem("stationarity system is singular")
-    return float(w[0]), w[1:]
-
-
 def _stationarity_solve(xa, Y, u_vec, fitted, psi):
-    """Multiplier and fitted duals from the regression KKT system.
+    """Multiplier and fitted duals from the KKT system of a fit.
 
-    ``xa`` is the (n, p) block [1, X] of the design.  Unknowns
-    (lam, v_1..v_m) solve
+    ``xa`` is the (n, p) block [1, X] of the design; the location case
+    passes the intercept column alone.  Unknowns (lam, v_1..v_m) solve
         sum_i psi_i = 0
         sum_i psi_i x_i = 0        (per regressor)
         lam * u = sum_i psi_i y_i  (per response coordinate)
-    with non-fitted psi fixed.  Square of size m + 1 = k + p.
+    with non-fitted psi fixed.  Square of size m + 1 = k + p.  With no
+    regressors the intercept entry is the pairwise sum of psi_N, as in the
+    sweep's block certifier, so the location fit and the regression fit
+    at p = 1 round alike.
     """
     n, p = xa.shape
     k = Y.shape[1]
@@ -282,11 +247,13 @@ def _stationarity_solve(xa, Y, u_vec, fitted, psi):
     M[:p, 1:] = xa[rows].T
     M[p:, 0] = -u_vec
     M[p:, 1:] = Y[rows].T
-    rhs = np.concatenate([-(xa[mask].T @ psi[mask]), -(Y[mask].T @ psi[mask])])
+    psi_n = psi[mask]
+    head = [psi_n.sum()] if p == 1 else xa[mask].T @ psi_n
+    rhs = -np.concatenate([head, Y[mask].T @ psi_n])
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
-        raise SingularSystem("regression stationarity system is singular")
+        raise SingularSystem("stationarity system is singular")
     return float(sol[0]), sol[1:]
 
 

@@ -8,6 +8,7 @@ import threading
 import time
 from importlib import resources
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -71,6 +72,29 @@ def test_ingest_non_finite(tmp_path):
     with pytest.raises(ParseError) as err:
         ingest_csv(path)
     assert err.value.line == 3
+
+
+def test_ingest_drops_a_byte_order_mark(tmp_path):
+    rows = np.random.default_rng(5).standard_normal((40, 3)).tolist()
+    text = "x1,y1,y2\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows)
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    (kind, (X, Y)), (marked_kind, (mX, mY)) = ingest_csv(plain), ingest_csv(marked)
+    assert kind == marked_kind == "regression"
+    assert X.shape == (40, 1) and Y.shape == (40, 2)
+    assert np.array_equal(X, mX) and np.array_equal(Y, mY)
+
+
+@pytest.mark.parametrize("first", ["1,2", "0.5,-3e2", " 4 , 5 "])
+def test_ingest_rejects_a_missing_header(tmp_path, first):
+    # five rows of numbers would otherwise give n = 4
+    path = write(tmp_path, "c.csv", f"{first}\n0,0\n1,0\n0,1\n2,3\n")
+    with pytest.raises(ParseError, match="missing header") as err:
+        ingest_csv(path)
+    assert err.value.line == 1
 
 
 def test_ingest_empty(tmp_path):
@@ -422,6 +446,20 @@ def test_regress_rejects_x0_before_fitting(capsys, monkeypatch, tmp_path, q, k, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_regress_on_a_plain_cloud_gives_the_bits_of_quantile(capsys, tmp_path):
+    z = np.random.default_rng(99).standard_normal((100, 2)) * 1e3
+    path = write(tmp_path, "c.csv", "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in z.tolist()))
+    for angle in np.linspace(0.1, 6.0, 24):
+        u = f"{float(np.cos(angle))!r},{float(np.sin(angle))!r}"
+        results = []
+        for command in ("quantile", "regress"):
+            assert main([command, "-i", path, "--tau", "0.30011", f"--u={u}"]) == 0
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        quantile, regress = results
+        for field in ("a", "b", "counts", "fitted", "multiplier"):
+            assert regress[field] == quantile[field]
+
+
 def test_regress_rejects_small_grid_before_fitting(capsys, monkeypatch, tmp_path):
     def no_fit(problem):
         raise AssertionError("regression_quantile ran")
@@ -643,6 +681,27 @@ def test_svg_output_is_byte_stable(tmp_path):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "argv, shapes",
+    [
+        (["quantile", "--tau", "0.3", "--u", "0,1"], {"polyline": 1, "polygon": 0}),
+        (["km", "--tau", "0.3"], {"polygon": 2}),
+        (["depth", "--x", "0,0", "--tau", "0.3"], {"polygon": 1, "circle": 7}),
+    ],
+    ids=["quantile", "km", "depth"],
+)
+def test_svg_of_each_subcommand_is_stable_xml(tmp_path, argv, shapes):
+    outs = [tmp_path / "a.svg", tmp_path / "b.svg"]
+    for out in outs:
+        assert main([argv[0], "-i", HEX, *argv[1:], "--format", "svg", "-o", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    root = ElementTree.fromstring(outs[0].read_text())
+    ns = "{http://www.w3.org/2000/svg}"
+    assert root.tag == ns + "svg"
+    for shape, count in shapes.items():
+        assert len(root.findall(f".//{ns}{shape}")) == count
 
 
 def test_csv_format(capsys):

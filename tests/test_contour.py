@@ -32,7 +32,7 @@ from quantour.directional import QuantileHyperplane
 from quantour.errors import DegenerateDesign
 from quantour.geometry import Direction, orthocomplement_basis, vector_norm
 from quantour.qr import QrProblem, check_loss, solve_qr
-from quantour.regression import _design, _location_stationarity_solve
+from quantour.regression import _design, _stationarity_solve
 from conftest import SQRT3, assert_reaped, make_cloud
 
 RNG = np.random.default_rng
@@ -375,7 +375,7 @@ def reference_hyperplane_at(z, tau, i, j, s, phi) -> QuantileHyperplane:
     n_below = int(np.count_nonzero(sgn < 0))
     n_above = n - 2 - n_below
 
-    mult, duals = _location_stationarity_solve(z, u.vector, (i, j), psi)
+    mult, duals = _stationarity_solve(np.ones((n, 1)), z, u.vector, (i, j), psi)
     if (duals > tau + 1e-9).any() or (duals < tau - 1.0 - 1e-9).any():
         raise ArcGap("representative direction is not inside the validity arc")
     r = z @ b - a
@@ -928,6 +928,21 @@ def test_a_failure_in_the_parent_chunk_kills_every_child(monkeypatch, forks):
     assert time.perf_counter() - start < 10
     assert len(forks) == 2
     assert_reaped(forks)
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_chunk_with_no_process_is_marched_in_this_process(monkeypatch, call):
+    # fork_map gives FAILED for the child's chunk; the march goes on from
+    # the end of the parent's chunk and closes the circle here
+    cloud = make_cloud(100, 220)
+    want = one_cpu_sweep(monkeypatch, cloud, 0.1785)
+
+    def refuse():
+        raise OSError(f"no {call} to spare")
+
+    monkeypatch.setattr(os, call, refuse)
+    allow_cpus(monkeypatch, 2)
+    assert_same_sweep(sweep(cloud, 0.1785), want)
 
 
 def test_the_sweep_stays_serial_below_the_minimum_n(forks):

@@ -36,7 +36,10 @@ RNG = np.random.default_rng
 # The location and regression fits once kept separate reductions.  The
 # code below is that pair, kept verbatim (orthocomplement_basis now
 # returns the basis array itself, so ``.matrix`` is gone) as the oracle
-# the shared reduction must reproduce bit for bit.
+# the shared reduction must reproduce bit for bit.  One change: with no
+# regressors the regression oracle ends in the location oracle's
+# stationarity solve, which sums the intercept row, as the one shared
+# solve does.
 
 MULT_TOL = 1e-7
 KKT_TOL = 1e-7
@@ -141,7 +144,10 @@ def reference_regression_quantile(rp: RegressionProblem):
         raise NoConvergence("direction normalization lost in reconstruction")
 
     psi = _psi_full(rp, sol)
-    mult, duals = _regression_stationarity_solve(rp, sol.fitted, psi)
+    if q == 0:
+        mult, duals = _location_stationarity_solve(rp.Y, rp.u.vector, rp.tau, sol.fitted, psi)
+    else:
+        mult, duals = _regression_stationarity_solve(rp, sol.fitted, psi)
     objective = sol.objective
     if abs(mult - objective) > MULT_TOL * (1.0 + abs(objective)):
         raise NoConvergence(
@@ -255,9 +261,7 @@ def test_shared_reduction_matches_parent(k, n):
 
 
 def test_location_case_matches_directional_engine():
-    # with no regressors the model reduces to the directional quantile; the
-    # engines sum the stationarity system's intercept row in different
-    # orders, so they agree to the last bit on these 20 cases, not always
+    # with no regressors the model reduces to the directional quantile
     rng = RNG(91)
     for _ in range(20):
         n = int(rng.integers(6, 25))
@@ -272,6 +276,27 @@ def test_location_case_matches_directional_engine():
         assert np.array_equal(q.b, h.b)
         assert q.multiplier == h.multiplier
         assert q.fitted == h.fitted
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_regression_fit_without_regressors_is_the_location_fit(k):
+    # one stationarity solve: every bit of the fit, duals included, agrees
+    rng = RNG(97 + k)
+    for n in (8, 9, 15, 40, 150, 1000):
+        for _ in range(3):
+            z = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4)
+            tau = float(rng.uniform(0.05, 0.95))
+            if abs(n * tau - round(n * tau)) < 1e-3:
+                tau += 2e-3 / n
+            u = Direction(rng.standard_normal(k))
+            h = directional_quantile(PointCloud(z), tau, u)
+            q = regression_quantile(RegressionProblem(np.empty((n, 0)), z, tau, u))
+            assert q.a == h.a
+            assert np.array_equal(q.b, h.b)
+            assert q.multiplier == h.multiplier
+            assert q.fitted == h.fitted
+            assert np.array_equal(q.duals, h.duals)
+            assert q.counts == h.counts
 
 
 def test_scalar_response_matches_classical_fit():
