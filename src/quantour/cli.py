@@ -8,9 +8,13 @@ coverage), fig2 (the seeded outlier benchmark across all 15 steps).
 
 Artifacts are deterministic: the same flags and seed produce byte
 identical JSON and CSV, and SVG identical up to the version comment
-line.  JSON payloads are {"meta": ..., "result": ...}; regions carry
-vertex arrays plus their generating halfplanes {b, a}.  The RNG is
-numpy's default_rng seeded from --seed; OS randomness is never used.
+line.  A subcommand returns its JSON payload, its CSV rows and, for a
+planar cloud, a deferred SVG drawing; one writer per format emits them,
+and fig2's artifacts too.  JSON payloads are {"meta": ..., "result":
+...}; regions carry vertex arrays plus their generating halfplanes {b,
+a}.  The RNG is numpy's default_rng seeded from --seed, a non-negative
+integer; OS randomness is never used.  A vector flag (--u, --x, --x0)
+takes a leading minus with or without "=".
 regress --x0 solves its direction grid, and the sweep behind contour and
 km marches its circle on clouds of 200 points or more, over the CPUs the
 process may use, in forked children (quantour._fork); the bytes do not
@@ -47,6 +51,7 @@ from .directional import (
 from .errors import (
     DegenerateData,
     DegenerateTau,
+    DimensionMismatch,
     EmptyInput,
     HeaderMismatch,
     ParseError,
@@ -197,18 +202,15 @@ def region_from_payload(payload: dict) -> ConvexRegion2D:
     return ConvexRegion2D(payload["vertices"], rows, payload["status"])
 
 
-def _hyperplane_payload(h) -> dict:
-    return {
-        "tau": h.tau,
-        "u": [float(v) for v in h.u.vector],
-        "a": h.a,
-        "b": [float(v) for v in h.b],
-        "c": [float(v) for v in h.c],
-        "multiplier": h.multiplier,
-        "fitted": list(h.fitted),
-        "duals": [float(v) for v in h.duals],
-        "counts": list(h.counts),
-    }
+def _hyperplane_payload(tau, u, a, b, c, multiplier, fitted, duals, counts) -> dict:
+    """JSON-ready hyperplane; vectors come as lists of Python numbers."""
+    return {"tau": tau, "u": u, "a": a, "b": b, "c": c, "multiplier": multiplier,
+            "fitted": fitted, "duals": duals, "counts": counts}
+
+
+def _field_rows(fields: dict) -> list:
+    """CSV rows: a field,value header, then each field with its JSON value."""
+    return [["field", "value"]] + [[k, json.dumps(v)] for k, v in fields.items()]
 
 
 def _meta(args, cloud=None, **extra) -> dict:
@@ -230,24 +232,17 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6f")
 
 
-def _view_box(points):
-    pts = np.asarray(points, dtype=float)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-6)
-    lo = lo - 0.1 * span
-    hi = hi + 0.1 * span
-    return lo, hi
-
-
 class _SvgCanvas:
-    """Fixed 640x480 canvas mapping data coordinates with a y-flip."""
+    """Fixed 640x480 canvas over the points' box, 10 % margins, with a y-flip."""
 
     w, h = 640, 480
 
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
-        span = hi - lo
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        span = np.maximum(hi - lo, 1e-6)
+        self.lo, self.hi = lo - 0.1 * span, hi + 0.1 * span
+        span = self.hi - self.lo
         self.scale = min(self.w / span[0], self.h / span[1])
         self.elements = []
 
@@ -318,14 +313,18 @@ def _clip_line(b, a, lo, hi):
     return uniq[0], uniq[-1]
 
 
-def _svg_cloud_region(cloud, region=None, hyperplanes=(), marks=()):
-    lo, hi = _view_box(cloud.points)
-    canvas = _SvgCanvas(lo, hi)
-    if region is not None and region.status == BOUNDED:
-        canvas.polyline(
-            list(region.vertices), stroke="#1f77b4", width=2.0, closed=True,
-            fill="#1f77b433",
-        )
+# polygon (stroke, stroke-width, fill) of an exact region and of km's envelope
+_REGION_STYLE = ("#1f77b4", 2.0, "#1f77b433")
+_ENVELOPE_STYLE = ("#2ca02c", 1.5, "none")
+
+
+def _svg_cloud_region(cloud, regions=(), hyperplanes=(), marks=()):
+    """The cloud, each bounded region of the (region, style) pairs, lines and marks."""
+    canvas = _SvgCanvas(cloud.points)
+    for region, (stroke, width, fill) in regions:
+        if region is not None and region.status == BOUNDED:
+            canvas.polyline(list(region.vertices), stroke=stroke, width=width,
+                            closed=True, fill=fill)
     for b, a in hyperplanes:
         canvas.line_segment(b, a, stroke="#d62728")
     for p in cloud.points:
@@ -348,16 +347,18 @@ def _parse_vector(text, k=None):
 
 def _cmd_quantile(args):
     cloud = _read_cloud(args)
+    if args.fmt == "svg" and cloud.k != 2:
+        raise DimensionMismatch(f"SVG output draws planar clouds only, got k={cloud.k}")
     u = Direction(np.array(_parse_vector(args.u, cloud.k), dtype=float))
     cloud = _heal_cloud(args, cloud)
     h = directional_quantile(cloud, args.tau, u)
-    result = _hyperplane_payload(h)
+    result = _hyperplane_payload(
+        h.tau, h.u.vector.tolist(), h.a, h.b.tolist(), h.c.tolist(), h.multiplier,
+        list(h.fitted), h.duals.tolist(), list(h.counts),
+    )
     payload = {"meta": _meta(args, cloud), "result": result}
-    rows = [["field", "value"]] + [[k, json.dumps(v)] for k, v in result.items()]
-    svg = None
-    if args.fmt == "svg":
-        svg = _svg_cloud_region(cloud, hyperplanes=[(h.b, h.a)])
-    return payload, rows, svg
+    rows = _field_rows(result)
+    return payload, rows, functools.partial(_svg_cloud_region, cloud, hyperplanes=[(h.b, h.a)])
 
 
 def _cmd_contour(args):
@@ -372,11 +373,8 @@ def _cmd_contour(args):
                 res.halfplanes.tolist(), res.c.tolist(), res.multiplier.tolist(),
                 res.fitted.tolist(), res.duals.tolist(), res.n_below.tolist())
     for (start, end), s, u, (b1, b2, a), c, mult, (i, j), duals, below in table:
-        hyperplane = {
-            "tau": res.tau, "u": u, "a": a, "b": [b1, b2], "c": c,
-            "multiplier": mult, "fitted": [i, j], "duals": duals,
-            "counts": [below, 2, cloud.n - 2 - below],
-        }
+        hyperplane = _hyperplane_payload(res.tau, u, a, [b1, b2], c, mult, [i, j], duals,
+                                         [below, 2, cloud.n - 2 - below])
         arcs.append({"start": start, "end": end, "orientation": s,
                      "hyperplane": hyperplane})
         rows.append([repr(start), repr(end), s, i, j, repr(a), repr(b1),
@@ -390,10 +388,9 @@ def _cmd_contour(args):
             "probability": prob,
         },
     }
-    svg = None
-    if args.fmt == "svg":
-        svg = _svg_cloud_region(cloud, region=region)
-    return payload, rows, svg
+    return payload, rows, functools.partial(
+        _svg_cloud_region, cloud, regions=[(region, _REGION_STYLE)]
+    )
 
 
 def _cmd_depth(args):
@@ -413,11 +410,10 @@ def _cmd_depth(args):
         result["region"] = region_payload(region)
         rows.append(["region_status", region.status])
     payload = {"meta": _meta(args, cloud), "result": result}
-    svg = None
-    if args.fmt == "svg":
-        marks = [np.array(x)] if x is not None else []
-        svg = _svg_cloud_region(cloud, region=region, marks=marks)
-    return payload, rows, svg
+    marks = [np.array(x)] if x is not None else []
+    return payload, rows, functools.partial(
+        _svg_cloud_region, cloud, regions=[(region, _REGION_STYLE)], marks=marks
+    )
 
 
 def _cmd_km(args):
@@ -440,23 +436,10 @@ def _cmd_km(args):
         },
     }
     payload = {"meta": _meta(args, cloud, K=args.K), "result": result}
-    rows = [["field", "value"]] + [
-        [k, json.dumps(v)] for k, v in result["comparison"].items()
-    ]
-    svg = None
-    if args.fmt == "svg":
-        lo, hi = _view_box(cloud.points)
-        canvas = _SvgCanvas(lo, hi)
-        if envelope.status == BOUNDED:
-            canvas.polyline(list(envelope.vertices), stroke="#2ca02c", width=1.5,
-                            closed=True)
-        if exact.status == BOUNDED:
-            canvas.polyline(list(exact.vertices), stroke="#1f77b4", width=2.0,
-                            closed=True, fill="#1f77b433")
-        for p in cloud.points:
-            canvas.circle(p, 3, "#444444")
-        svg = canvas.render()
-    return payload, rows, svg
+    rows = _field_rows(result["comparison"])
+    return payload, rows, functools.partial(
+        _svg_cloud_region, cloud, regions=[(envelope, _ENVELOPE_STYLE), (exact, _REGION_STYLE)]
+    )
 
 
 def _cmd_scan(args):
@@ -518,6 +501,7 @@ def _cmd_regress(args):
             "bin_edges": list(diag.bin_edges),
             "bin_counts": list(diag.bin_counts),
         }
+    rows = _field_rows(result)
     if x0 is not None:
         models = _fan_out(
             lambda d: regression_quantile(RegressionProblem(X, Y, args.tau, d)),
@@ -527,9 +511,6 @@ def _cmd_regress(args):
         result["cut"] = region_payload(cut)
     payload = {"meta": _meta(args, n=Y.shape[0], k=k, p=X.shape[1] + 1),
                "result": result}
-    rows = [["field", "value"]] + [
-        [kk, json.dumps(vv)] for kk, vv in result.items() if kk != "cut"
-    ]
     return payload, rows, None
 
 
@@ -569,47 +550,36 @@ def _cmd_fig2(args):
             inside += 1
         table.append((ell, h.multiplier))
         last = (cloud, h, hull)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    csv_path = out_dir / "fig2_lambda.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ell", "lambda"])
-    for ell, lam in table:
-        writer.writerow([ell, repr(lam)])
-    csv_path.write_text(buf.getvalue(), encoding="utf-8")
-
+    rows = [["ell", "lambda"]] + [[ell, repr(lam)] for ell, lam in table]
     cloud, h, hull = last
-    left = _svg_cloud_region(
-        cloud, region=hull, hyperplanes=[(h.b, h.a)], marks=[cloud.points[-1]]
-    )
-    (out_dir / "fig2_points.svg").write_text(left, encoding="utf-8")
-
     lams = np.array([lam for _, lam in table])
     series = np.column_stack([np.arange(15.0), lams])
-    lo, hi = _view_box(series)
-    canvas = _SvgCanvas(lo, hi)
+    canvas = _SvgCanvas(series)
     canvas.polyline(series, stroke="#1f77b4", width=2.0)
     for p in series:
         canvas.circle(p, 3, "#1f77b4")
     canvas.text((0.0, float(lams.max())), "multiplier vs outlier step")
-    right = canvas.render()
-    (out_dir / "fig2_multiplier.svg").write_text(right, encoding="utf-8")
+    artifacts = {
+        "fig2_lambda.csv": _csv_text(rows),
+        "fig2_points.svg": _svg_cloud_region(
+            cloud, regions=[(hull, _REGION_STYLE)], hyperplanes=[(h.b, h.a)],
+            marks=[cloud.points[-1]],
+        ),
+        "fig2_multiplier.svg": canvas.render(),
+    }
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
 
     payload = {
         "meta": {"command": "fig2", "seed": args.seed, "tau": tau_q, "n": n},
         "result": {
             "table": [{"ell": ell, "multiplier": lam} for ell, lam in table],
             "outlier_inside_hull": inside,
-            "artifacts": [
-                str(csv_path),
-                str(out_dir / "fig2_points.svg"),
-                str(out_dir / "fig2_multiplier.svg"),
-            ],
+            "artifacts": [str(out_dir / name) for name in artifacts],
         },
     }
-    rows = [["ell", "lambda"]] + [[ell, repr(lam)] for ell, lam in table]
     return payload, rows, None
 
 
@@ -628,21 +598,22 @@ _COMMANDS = {
 # dispatch and emission
 
 
-def _emit(args, payload, rows, svg) -> None:
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _emit(args, payload, rows, draw) -> None:
     for w in args.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.fmt == "json":
         # strict JSON: a NaN or an infinity raises ValueError (exit 1)
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif args.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(rows)
-        text = buf.getvalue()
-    elif args.fmt == "svg":
-        text = svg
-    else:
-        raise ValueError(f"unknown format {args.fmt!r}")
+        text = _csv_text(rows)
+    else:  # svg: the parser allows it only where the command returns a drawing
+        text = draw()
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -683,8 +654,7 @@ def run(args) -> int:
         if not 0.0 <= getattr(args, "jitter_amplitude", 0.0) < math.inf:
             raise ValueError("jitter amplitude must be nonnegative and finite")
         handler = _COMMANDS[args.command]
-        payload, rows, svg = handler(args)
-        _emit(args, payload, rows, svg)
+        _emit(args, *handler(args))
         return 0
     except DegenerateTau as exc:
         _emit_error(args, exc, 2)
@@ -710,6 +680,13 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    def seed(text):
+        """numpy's generators take non-negative integers only."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+        return value
+
     parser = _Parser(
         prog="quantour",
         description="Directional quantile hyperplanes, depth contours, and "
@@ -725,7 +702,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=formats, default="json")
         p.add_argument("--output", "-o", default=None,
                        help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=seed, default=0)
         p.add_argument("--jitter", dest="jitter_amplitude", type=float,
                        default=JITTER_DEFAULT,
                        help="degeneracy jitter amplitude, 0 disables")
@@ -760,7 +737,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directions for cut assembly")
 
     p = sub.add_parser("fig2", help="seeded outlier benchmark, 15 steps")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=seed, default=7)
     p.add_argument("--output-dir", dest="output_dir", default=".")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"),
                    default="json")
@@ -769,14 +746,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_vectors(argv) -> list:
+    """Write ``--u -0.6,0.8`` as ``--u=-0.6,0.8``, and so for --x and --x0.
+
+    argparse takes a token that starts with a minus for an option unless it
+    is one number, so such a vector would not reach its flag.
+    """
+    out = []
+    for token in argv:
+        try:
+            vector = token.startswith("-") and bool(_parse_vector(token))
+        except ValueError:
+            vector = False
+        if vector and out[-1:] in (["--u"], ["--x"], ["--x0"]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     """Run one command line (default sys.argv[1:]) and return its exit code.
 
     The parser is built once per process; every call gets a fresh Namespace.
     A usage error prints the usage and exits 1; --help and --version exit 0.
     """
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_vectors(argv))
     except _UsageError as exc:
         sys.stderr.write(str(exc))
         return 1

@@ -7,8 +7,9 @@ fixed pair and orientation the dual weights are ratios of homogeneous
 linear functions of u, so the set of directions where the basis stays
 dual-feasible is the intersection of half-circles: a single arc computed
 in closed form.  The sweep marches arc to arc with warm-started pivots,
-and the arcs must tile the circle exactly.  ``_enumerate_arcs``, which
-scans every point pair's arc, is kept as the tests' independent oracle.
+building every arc record in ``_record``, and the arcs must tile the
+circle exactly.  ``_enumerate_arcs``, which scans every point pair's arc,
+is kept as the tests' independent oracle.
 
 Once an arc is appended, the march ahead depends only on that arc.  So
 from _FORK_MIN_POINTS points on, the circle is cut at one seam angle per
@@ -264,10 +265,7 @@ def _march_arcs(cloud: PointCloud, tau: float, scale: float):
         return sol, (i, j, 1 if float(_perp(z[j] - z[i]) @ u) > 0.0 else -1)
 
     sol, key = solve_at(0.0, None)
-    arc = _arc_for_basis(z, tau, *key, scale)
-    if arc is None:
-        raise ArcGap("initial basis has an empty validity arc")
-    first = (*_align(*arc, anchor=0.0), *key)
+    first = _record(z, tau, scale, key, 0.0)
     target = first[0] + TWO_PI
     budget = 16 * n * n + 256
 
@@ -307,13 +305,19 @@ def _seams(solve_at, z, tau, scale, angles):
     for theta in angles:
         try:
             _sol, key = solve_at(theta, None)
-            arc = _arc_for_basis(z, tau, *key, scale)
+            seams.append(_record(z, tau, scale, key, theta))
         except (QuantourError, np.linalg.LinAlgError):
             return []
-        if arc is None:
-            return []
-        seams.append((*_align(*arc, anchor=theta), *key))
     return seams
+
+
+def _record(z, tau, scale, key, phi):
+    """Record (lo, hi, i, j, s) of basis key = (i, j, s), its arc shifted to contain phi."""
+    arc = _arc_for_basis(z, tau, *key, scale)
+    if arc is None:
+        i, j, s = key
+        raise ArcGap(f"basis ({i}, {j}) with orientation {s} has an empty arc at {phi:.9f}")
+    return (*_align(*arc, anchor=phi), *key)
 
 
 def _march(solve_at, z, tau, scale, start, target, stop, budget):
@@ -342,17 +346,13 @@ def _march(solve_at, z, tau, scale, start, target, stop, budget):
             if advance > 0.5:
                 raise ArcGap(f"sweep stalled near angle {cursor:.9f}")
             continue
-        arc = _arc_for_basis(z, tau, *key, scale)
-        if arc is None:
-            raise ArcGap(f"optimal basis at angle {phi:.9f} reports an empty arc")
-        lo, hi = _align(*arc, anchor=phi)
-        if lo > cursor + TILE_TOL:
-            # a thinner arc hides between cursor and lo: bisect into the gap
-            advance = max(0.5 * (lo - cursor), MIN_ADVANCE)
+        rec = _record(z, tau, scale, key, phi)
+        if rec[0] > cursor + TILE_TOL:
+            # a thinner arc hides between cursor and this one: bisect into the gap
+            advance = max(0.5 * (rec[0] - cursor), MIN_ADVANCE)
             continue
-        prev = (lo, hi, *key)
-        records.append(prev)
-        cursor = hi
+        records.append(rec)
+        prev, cursor = rec, rec[1]
         advance = MIN_ADVANCE
         if prev == stop:
             return records, pivots, probes

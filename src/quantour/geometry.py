@@ -142,14 +142,18 @@ def orthocomplement_basis(u: Direction) -> np.ndarray:
     return m
 
 
+def _shoelace(v):
+    """Twice the signed area of the polygon with (m, 2) vertices v; > 0 when ccw."""
+    x, y = v[:, 0], v[:, 1]
+    return x @ np.roll(y, -1) - y @ np.roll(x, -1)
+
+
 def polygon_area(vertices) -> float:
     """Shoelace area of a simple polygon; 0.0 for fewer than 3 vertices."""
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[0] < 3:
         return 0.0
-    x, y = v[:, 0], v[:, 1]
-    s = x @ np.roll(y, -1) - y @ np.roll(x, -1)
-    return float(abs(s)) / 2.0
+    return float(abs(_shoelace(v))) / 2.0
 
 
 @dataclass(frozen=True)
@@ -192,14 +196,11 @@ class ConvexRegion2D:
         v = np.array(vertices, dtype=float).reshape(-1, 2)
         if v.shape[0] < 3:
             raise DimensionMismatch("a bounded region needs at least 3 vertices")
-        x, y = v[:, 0], v[:, 1]
-        signed = (x @ np.roll(y, -1) - y @ np.roll(x, -1)) / 2.0
-        if signed < 0:
+        if _shoelace(v) < 0:
             v = v[::-1].copy()
         edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(
-            edges, -1, axis=0
-        )[:, 0]
+        following = np.roll(edges, -1, axis=0)
+        cross = edges[:, 0] * following[:, 1] - edges[:, 1] * following[:, 0]
         scale = float(np.abs(v).max()) + 1.0
         if np.any(cross < -GEOM_TOL * scale * scale):
             raise DimensionMismatch("vertices do not describe a convex polygon")

@@ -407,6 +407,37 @@ def test_usage_errors_exit_1(capsys, argv, message):
     assert err.endswith(f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [["contour", "-i", HEX, "--tau", "0.25"], ["fig2"]], ids=["contour", "fig2"]
+)
+def test_a_negative_seed_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # where fig2 would write its artifacts
+    assert main([*argv, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: quantour {argv[0]}")
+    assert err.endswith("error: argument --seed: must be a non-negative integer, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["quantile", "-i", HEX, "--tau", "0.3"], "--u", "-0.6,0.8"),
+        (["depth", "-i", HEX, "--tau", "0.3"], "--x", "-0.1,0.2"),
+        (["regress", "--tau", "0.305", "--u", "0,1", "--grid", "9"], "--x0", "-0.5,0.5"),
+    ],
+    ids=["u", "x", "x0"],
+)
+def test_a_vector_flag_takes_a_leading_minus(capsys, tmp_path, argv, flag, value):
+    if argv[0] == "regress":
+        argv = [*argv, "-i", regression_csv(tmp_path, 2, 2)]
+    outs = []
+    for tokens in ([flag, value], [f"{flag}={value}"]):
+        assert main([*argv, *tokens]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv", [["--version"], ["contour", "--help"]])
 def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -433,6 +464,7 @@ def regression_csv(tmp_path, q, k, n=40):
         (1, 2, "1,0", "nan", "--x0 must be finite, got 'nan'"),
         (1, 2, "1,0", "inf", "--x0 must be finite, got 'inf'"),
         (2, 2, "1,0", "0.5,-inf", "--x0 must be finite, got '0.5,-inf'"),
+        (1, 2, "1,0", "-inf", "--x0 must be finite, got '-inf'"),
     ],
 )
 def test_regress_rejects_x0_before_fitting(capsys, monkeypatch, tmp_path, q, k, u, x0, message):
@@ -639,6 +671,29 @@ def test_fan_out_joins_chunks_in_order(monkeypatch, forks, cpus, n, children):
     assert cli_module._fan_out(lambda x: (x, x * x), range(n)) == [(x, x * x) for x in range(n)]
     assert len(forks) == children
     assert_reaped(forks)
+
+
+def test_fig2_csv_output_is_its_lambda_file(capsys, tmp_path):
+    assert main(["fig2", "--output-dir", str(tmp_path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "fig2_lambda.csv").read_bytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_svg_needs_a_planar_cloud(capsys, monkeypatch, tmp_path, k):
+    # rejected after ingest and before the general-position check
+    def no_check(self):
+        raise AssertionError("the general-position check ran")
+
+    monkeypatch.setattr(PointCloud, "require_general_position", no_check)
+    rows = np.random.default_rng(k).standard_normal((12, k)).tolist()
+    text = ",".join(f"c{i}" for i in range(k)) + "\n" + "".join(
+        ",".join(map(repr, r)) + "\n" for r in rows)
+    u = ",".join(["0"] * (k - 1) + ["1"])
+    argv = ["quantile", "-i", write(tmp_path, "c.csv", text), "--tau", "0.3", "--u", u]
+    assert main([*argv, "--format", "svg", "--json-errors"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DimensionMismatch"
+    assert err["message"] == f"SVG output draws planar clouds only, got k={k}"
 
 
 def test_fig2_artifacts(tmp_path):

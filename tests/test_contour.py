@@ -906,6 +906,43 @@ def test_a_failing_chunk_gives_the_serial_error(monkeypatch, forks, lo):
     assert str(serial.value).startswith("injected failure at angle ")
 
 
+def test_an_empty_arc_names_its_basis_and_angle(monkeypatch, forks, tmp_path):
+    cloud = make_cloud(101, FORK_N)
+    want = one_cpu_sweep(monkeypatch, cloud, 0.1785)
+    # the arc through 3 pi / 2: in the second chunk on two CPUs, whose seam
+    # lies near pi
+    k = int(np.searchsorted(want.arcs[:, 0], 1.5 * np.pi)) - 1
+    key = (*want.fitted[k].tolist(), int(want.orientation[k]))
+    hits = tmp_path / "pids"
+    arc_for_basis = contour_module._arc_for_basis
+
+    def empty_at_key(z, tau, i, j, s, scale):
+        if (i, j, s) == key:
+            with open(hits, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return None
+        return arc_for_basis(z, tau, i, j, s, scale)
+
+    monkeypatch.setattr(contour_module, "_arc_for_basis", empty_at_key)
+    with pytest.raises(ArcGap) as serial:
+        one_cpu_sweep(monkeypatch, cloud, 0.1785)
+    prefix = f"basis ({key[0]}, {key[1]}) with orientation {key[2]} has an empty arc at "
+    message = str(serial.value)
+    assert message.startswith(prefix)
+    lo, hi = want.arcs[k].tolist()
+    assert lo - contour_module.TILE_TOL <= float(message[len(prefix):]) <= hi
+    assert hits.read_text().split() == [str(os.getpid())]
+
+    hits.unlink()
+    with pytest.raises(ArcGap) as forked:
+        sweep(cloud, 0.1785)
+    assert str(forked.value) == message
+    # the child's chunk failed there, and this process marched it again
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert hits.read_text().split() == [str(forks[0]), str(os.getpid())]
+
+
 def test_a_failure_in_the_parent_chunk_kills_every_child(monkeypatch, forks):
     parent = os.getpid()
     frame = contour_module._planar_frame
