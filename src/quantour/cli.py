@@ -13,17 +13,18 @@ planar cloud, a deferred SVG drawing; one writer per format emits them,
 and fig2's artifacts too.  JSON payloads are {"meta": ..., "result":
 ...}; regions carry vertex arrays plus their generating halfplanes {b,
 a}.  The RNG is numpy's default_rng seeded from --seed, a non-negative
-integer; OS randomness is never used.  A vector flag (--u, --x, --x0)
-takes a leading minus with or without "=".
+integer; OS randomness is never used.  A numeric flag (--u, --x, --x0,
+--tau, --K, --bins, --grid, --seed) takes a leading minus with or
+without "=".
 regress --x0 solves its direction grid, and the sweep behind contour and
 km marches its circle on clouds of 200 points or more, over the CPUs the
 process may use, in forked children (quantour._fork); the bytes do not
 depend on how many.
 
 Exit codes: 0 success, 2 degenerate tau (message names the nearest
-admissible levels), 3 degenerate data (message carries the offending
-indices and a jitter suggestion), 1 anything else.  With --json-errors
-the stderr diagnostic is machine readable JSON.
+admissible levels), 3 degenerate data that --no-jitter refused or that
+cloud.jitter did not fix (message carries the offending rows), 1
+anything else.  With --json-errors the stderr diagnostic is JSON.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _fork
-from .cloud import PointCloud, jitter
+from .cloud import PointCloud, _jitter_amplitude, jitter
 from .contour import fixed_tau_region, probability_contents, sweep
 from .depth import depth_2d, depth_region_bruteforce_2d
 from .directional import (
@@ -68,7 +69,6 @@ from .regression import (
     response_direction_grid,
 )
 
-JITTER_DEFAULT = 1e-5
 FIG2_TAU_NUM = 2.5  # tau = 2.5/n for the quantile, 0.5/n for the hull regime
 # Fewest grid directions worth a forked child.  On a 2-core Xeon a fork,
 # pickle and waitpid round trip takes 5-7 ms and one cold regression solve
@@ -153,17 +153,17 @@ def ingest_csv(path):
 
 
 def _heal_cloud(args, data: PointCloud) -> PointCloud:
-    """Jitter a degenerate cloud (seeded), or re-raise when jitter is off."""
+    """Jitter a degenerate cloud (seeded), or re-raise under --no-jitter."""
     try:
         data.require_general_position()
     except DegenerateData as exc:
-        if args.jitter_amplitude == 0.0:
+        if args.no_jitter:
             raise
         args.warnings.append(
             f"degenerate input ({exc}); applied jitter "
-            f"{args.jitter_amplitude:g} with seed {args.seed}"
+            f"{_jitter_amplitude(data):g} with seed {args.seed}"
         )
-        data = jitter(data, amplitude=args.jitter_amplitude, seed=args.seed)
+        data = jitter(data, seed=args.seed)
     return data
 
 
@@ -622,11 +622,8 @@ def _emit(args, payload, rows, draw) -> None:
 
 def _emit_error(args, exc: Exception, code: int) -> None:
     suggestion = None
-    if code == 3:
-        suggestion = (
-            f"rerun with --jitter {JITTER_DEFAULT:g} (seeded with --seed) "
-            "to perturb the degenerate rows"
-        )
+    if code == 3 and getattr(args, "no_jitter", False):
+        suggestion = "rerun without --no-jitter to perturb the degenerate rows (seeded with --seed)"
     if args.json_errors:
         doc = {
             "error": type(exc).__name__,
@@ -651,8 +648,6 @@ def _emit_error(args, exc: Exception, code: int) -> None:
 def run(args) -> int:
     """Execute one parsed command line; returns the process exit code."""
     try:
-        if not 0.0 <= getattr(args, "jitter_amplitude", 0.0) < math.inf:
-            raise ValueError("jitter amplitude must be nonnegative and finite")
         handler = _COMMANDS[args.command]
         _emit(args, *handler(args))
         return 0
@@ -703,9 +698,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None,
                        help="output path (default: stdout)")
         p.add_argument("--seed", type=seed, default=0)
-        p.add_argument("--jitter", dest="jitter_amplitude", type=float,
-                       default=JITTER_DEFAULT,
-                       help="degeneracy jitter amplitude, 0 disables")
+        p.add_argument("--no-jitter", action="store_true",
+                       help="refuse degenerate data (exit 3) instead of jittering it")
         p.add_argument("--json-errors", action="store_true")
 
     p = sub.add_parser("quantile", help="one directional quantile hyperplane")
@@ -746,11 +740,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NUMERIC_FLAGS = ("--u", "--x", "--x0", "--tau", "--K", "--bins", "--grid", "--seed")
+
+
 def _attach_vectors(argv) -> list:
-    """Write ``--u -0.6,0.8`` as ``--u=-0.6,0.8``, and so for --x and --x0.
+    """Write ``--u -0.6,0.8`` as ``--u=-0.6,0.8``, and so for every numeric flag.
 
     argparse takes a token that starts with a minus for an option unless it
-    is one number, so such a vector would not reach its flag.
+    is a plain decimal such as -3 or -0.5 (and reads ``-inf`` as ``-i nf``),
+    so ``-1e-3``, ``-inf`` or a vector would not reach its flag.
     """
     out = []
     for token in argv:
@@ -758,7 +756,7 @@ def _attach_vectors(argv) -> list:
             vector = token.startswith("-") and bool(_parse_vector(token))
         except ValueError:
             vector = False
-        if vector and out[-1:] in (["--u"], ["--x"], ["--x0"]):
+        if vector and out and out[-1] in _NUMERIC_FLAGS:
             out[-1] += "=" + token
         else:
             out.append(token)

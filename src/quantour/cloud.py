@@ -16,6 +16,9 @@ from .errors import DegenerateData, DimensionMismatch, StillDegenerate
 # squared, a triple with a smaller |cross product| counts as collinear.
 GENERAL_POSITION_TOL = 1e-12
 
+# jitter's amplitude per unit of the cloud's extent
+JITTER_SCALE = 1e-5
+
 # The collinearity scan tests an anchor's candidate pairs in batches of
 # about this many.
 _SCAN_BATCH_PAIRS = 1_000_000
@@ -247,15 +250,14 @@ def _successor_steps(count):
     return entry, step
 
 
-def jitter(cloud: PointCloud, amplitude: float = 1e-5, seed: int = 0) -> PointCloud:
-    """Perturb each coordinate by U(-amplitude, amplitude) noise.
+def jitter(cloud: PointCloud, seed: int = 0) -> PointCloud:
+    """Perturb each coordinate by U(-a, a) noise, a = JITTER_SCALE times the extent.
 
-    The perturbation is deterministic given ``seed``.  Raises
-    StillDegenerate when the perturbed cloud fails the general-position
-    check that jitter was meant to repair.
+    The extent is the largest per-coordinate max - min, so the noise scales
+    with the cloud.  Deterministic given ``seed``.  Raises StillDegenerate,
+    with its rows, when the perturbed cloud fails the general-position check.
     """
-    if not 0.0 < amplitude < np.inf:
-        raise ValueError(f"jitter amplitude must be positive and finite, got {amplitude:g}")
+    amplitude = _jitter_amplitude(cloud)
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-amplitude, amplitude, size=cloud.points.shape)
     out = PointCloud(cloud.points + noise)
@@ -263,6 +265,12 @@ def jitter(cloud: PointCloud, amplitude: float = 1e-5, seed: int = 0) -> PointCl
         out.require_general_position()
     except DegenerateData as exc:
         raise StillDegenerate(
-            f"cloud remains degenerate after jitter of amplitude {amplitude:g}: {exc}"
+            f"cloud remains degenerate after jitter of amplitude {amplitude:g}",
+            indices=exc.indices,
         ) from exc
     return out
+
+
+def _jitter_amplitude(cloud: PointCloud) -> float:
+    # halved first, so that a range beyond the largest double stays finite
+    return 2.0 * JITTER_SCALE * float(np.ptp(0.5 * cloud.points, axis=0).max())

@@ -22,6 +22,9 @@ from .qr import validate_tau
 BOUNDARY_TOL = 1e-9
 # angular slack implementing the same tie rule in the sweep
 ANGLE_SLACK = 1e-12
+# most projections per block of _pair_halfplanes: 16 MB, and as much again
+# for the partition
+_BLOCK_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,16 @@ def _pair_halfplanes(cloud: PointCloud, tau: float) -> np.ndarray:
     normals = normals[good] / lengths[good, None]
     normals = np.vstack([normals, -normals])
 
-    proj = z @ normals.T
-    offsets = np.partition(proj, m0 - 1, axis=0)[m0 - 1]
+    # project in column blocks that start on multiples of 64 columns, where
+    # BLAS tiles the whole product too, so at one BLAS thread each product
+    # rounds as unblocked; an order statistic is an element of its column
+    m = len(normals)
+    blocks = -(-n * m // _BLOCK_ELEMENTS)
+    cuts = [m * i // blocks // 64 * 64 for i in range(blocks)] + [m]
+    offsets = np.empty(m)
+    for lo, hi in zip(cuts, cuts[1:]):
+        proj = z @ normals[lo:hi].T
+        offsets[lo:hi] = np.partition(proj, m0 - 1, axis=0)[m0 - 1]
     return np.column_stack([normals, offsets])
 
 

@@ -121,5 +121,5 @@ class HeaderMismatch(ParseError):
         super().__init__(message, line=1)
 
 
-class StillDegenerate(QuantourError):
-    """Jitter failed to remove the degeneracy it was asked to remove."""
+class StillDegenerate(DegenerateData):
+    """Jitter could not remove the degeneracy; carries the rows still at fault."""

@@ -277,8 +277,8 @@ def test_criterion_8_degeneracy_and_jitter(tmp_path):
         sweep(PointCloud(collinear), 0.305)
     with pytest.raises(DegenerateData):
         directional_quantile(PointCloud(collinear), 0.305, Direction([0.0, 1.0]))
-    # jitter amplitude 1e-5 with a fixed seed heals the cloud
-    healed = jitter(PointCloud(collinear), amplitude=1e-5, seed=0)
+    # jitter at 1e-5 times the cloud's extent with a fixed seed heals the cloud
+    healed = jitter(PointCloud(collinear), seed=0)
     healed.require_general_position()
     # criterion-3 invariants on the healed cloud
     for phi in np.linspace(0.0, 2.0 * np.pi, 9)[:-1]:
@@ -302,4 +302,4 @@ def test_criterion_8_degeneracy_and_jitter(tmp_path):
     for argv in commands:
         assert main(argv) == 0, f"command failed: {argv[0]}"
     # without jitter the degenerate input is refused with the data code
-    assert main(["contour", "-i", str(src), "--tau", "0.305", "--jitter", "0"]) == 3
+    assert main(["contour", "-i", str(src), "--tau", "0.305", "--no-jitter"]) == 3

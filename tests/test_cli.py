@@ -30,6 +30,8 @@ FIXTURES = resources.files("quantour") / "fixtures"
 HEX = str(FIXTURES / "hexagon.csv")
 TRI = str(FIXTURES / "tri.csv")
 COLLINEAR = str(FIXTURES / "collinear5.csv")
+# jitter off and on; each id is the relative jitter amplitude in effect
+JITTER_MODES = [pytest.param(["--no-jitter"], id="0"), pytest.param([], id="1e-5")]
 
 
 def write(tmp_path, name, text):
@@ -127,9 +129,9 @@ def test_ingest_duplicate_rows_warn(tmp_path, capsys):
     assert main(["depth", "-i", path, "--x", "1,0.5"]) == 0
     assert capsys.readouterr().err == (
         "warning: degenerate input (duplicate points (rows [0, 2])); "
-        "applied jitter 1e-05 with seed 0\n"
+        "applied jitter 3e-05 with seed 0\n"
     )
-    assert main(["depth", "-i", path, "--x", "1,0.5", "--jitter", "0"]) == 3
+    assert main(["depth", "-i", path, "--x", "1,0.5", "--no-jitter"]) == 3
     assert capsys.readouterr().err.startswith("error: duplicate points (rows [0, 2])\n")
 
 
@@ -169,10 +171,10 @@ def test_degenerate_tau_exit_2(capsys):
 
 
 def test_collinear_exit_3_when_jitter_off(capsys):
-    code = main(["contour", "-i", COLLINEAR, "--tau", "0.305", "--jitter", "0"])
+    code = main(["contour", "-i", COLLINEAR, "--tau", "0.305", "--no-jitter"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "rerun with --jitter" in err
+    assert "rerun without --no-jitter" in err
 
 
 def test_collinear_heals_with_default_jitter(capsys):
@@ -184,6 +186,58 @@ def test_collinear_heals_with_default_jitter(capsys):
     assert "jitter" in captured.err  # the healing is announced
 
 
+# a Gaussian cloud with row 5 on the line through rows 1 and 2
+GAUSS30_COLLINEAR = np.random.default_rng(0).standard_normal((30, 2))
+GAUSS30_COLLINEAR[5] = 0.5 * (GAUSS30_COLLINEAR[1] + GAUSS30_COLLINEAR[2])
+
+
+def healed_contours(capsys, tmp_path, scales):
+    """contour's result on GAUSS30_COLLINEAR times each scale, healed by jitter."""
+    results = []
+    for s in scales:
+        z = (s * GAUSS30_COLLINEAR).tolist()
+        path = write(tmp_path, "c.csv", "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in z))
+        assert main(["contour", "-i", path, "--tau", "0.2017"]) == 0
+        captured = capsys.readouterr()
+        assert "collinear triples (rows [1, 2, 5])); applied jitter" in captured.err
+        results.append(json.loads(captured.out)["result"])
+    return results
+
+
+@pytest.mark.parametrize("s", [2.0**-20, 2.0**26, 1e-6, 1e8], ids=["2^-20", "2^26", "1e-6", "1e8"])
+def test_jitter_heals_a_collinear_cloud_at_its_own_scale(capsys, tmp_path, s):
+    # the jitter amplitude follows the cloud's extent, so every scale heals
+    # to the same arcs, with bit-equal bounds when s is a power of two
+    want, got = healed_contours(capsys, tmp_path, [1.0, s])
+
+    def keys(result):
+        return [(a["orientation"], a["hyperplane"]["fitted"]) for a in result["arcs"]]
+
+    def bounds(result):
+        return np.array([(a["start"], a["end"]) for a in result["arcs"]])
+
+    assert len(want["arcs"]) == 55
+    assert keys(got) == keys(want)
+    if np.log2(s).is_integer():
+        assert np.array_equal(bounds(got), bounds(want))
+    else:
+        assert np.abs(bounds(got) - bounds(want)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("e", [
+    pytest.param(-20, marks=pytest.mark.xfail(
+        strict=True, reason="intersect_halfplanes_2d's clipping box and ring tolerance are "
+        "absolute, so at 2**-20 the region has 19 facets instead of 15 (ROADMAP item 4)")),
+    26,
+])
+def test_a_healed_region_scales_with_the_cloud(capsys, tmp_path, e):
+    want, got = healed_contours(capsys, tmp_path, [1.0, 2.0**e])
+    expected = np.array(want["region"]["vertices"])
+    vertices = np.array(got["region"]["vertices"]) / 2.0**e
+    assert vertices.shape == expected.shape
+    assert np.abs(vertices - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_json_errors_flag(capsys):
     code = main(
         [
@@ -192,8 +246,7 @@ def test_json_errors_flag(capsys):
             COLLINEAR,
             "--tau",
             "0.305",
-            "--jitter",
-            "0",
+            "--no-jitter",
             "--json-errors",
         ]
     )
@@ -203,7 +256,23 @@ def test_json_errors_flag(capsys):
     assert payload["error"] == "DegenerateData"
     assert payload["exit"] == 3
     assert payload["indices"] == [0, 1, 2, 3, 4]
-    assert "--jitter" in payload["suggestion"]
+    assert "--no-jitter" in payload["suggestion"]
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_a_cloud_jitter_cannot_heal_exits_3_with_its_rows(capsys, tmp_path, json_errors):
+    # four copies of one point have zero extent, so the jitter amplitude
+    # is 0 and the rows stay repeated; no jitter suggestion, as jitter ran
+    path = write(tmp_path, "c.csv", "x,y\n0,0\n0,0\n0,0\n0,0\n")
+    argv = ["contour", "-i", path, "--tau", "0.3"] + ["--json-errors"] * json_errors
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    message = "cloud remains degenerate after jitter of amplitude 0 (rows [0, 1, 2, 3])"
+    if json_errors:
+        assert json.loads(err) == {"error": "StillDegenerate", "exit": 3,
+                                   "indices": [0, 1, 2, 3], "message": message}
+    else:
+        assert err == f"error: {message}\n"
 
 
 def test_missing_file_exit_1(capsys):
@@ -214,14 +283,6 @@ def test_missing_file_exit_1(capsys):
 def test_bad_tau_exit_1(capsys):
     code = main(["quantile", "-i", TRI, "--tau", "1.5", "--u", "0,1"])
     assert code == 1
-
-
-@pytest.mark.parametrize("src", [HEX, COLLINEAR])
-def test_negative_jitter_exit_1(capsys, src):
-    # rejected whether or not the cloud needs healing
-    code = main(["contour", "-i", src, "--tau", "0.305", "--jitter", "-1"])
-    assert code == 1
-    assert "jitter amplitude must be nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bins", ["1", "-3"])
@@ -352,7 +413,7 @@ def test_scan_without_directions_exit_1(capsys, K):
         (["scan", "--tau", "0.305", "--K", "0"], "scan needs at least one direction, got --K 0"),
     ],
 )
-@pytest.mark.parametrize("jitter", ["0", "1e-5"])
+@pytest.mark.parametrize("jitter", JITTER_MODES)
 def test_bad_flags_exit_1_before_the_input_is_checked(capsys, monkeypatch, argv, message, jitter):
     # collinear5 is degenerate: a bad flag must exit before the general-position
     # check, which would exit 3 without jitter and run the jitter with it
@@ -360,7 +421,7 @@ def test_bad_flags_exit_1_before_the_input_is_checked(capsys, monkeypatch, argv,
         raise AssertionError("the general-position check ran")
 
     monkeypatch.setattr(PointCloud, "require_general_position", no_check)
-    code = main([argv[0], "-i", COLLINEAR, "--jitter", jitter, *argv[1:]])
+    code = main([argv[0], "-i", COLLINEAR, *jitter, *argv[1:]])
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"error: {message}\n"
@@ -371,19 +432,17 @@ def test_bad_flags_exit_1_before_the_input_is_checked(capsys, monkeypatch, argv,
     [
         (["quantile", "--tau", "0.3", "--u", "1,2,3"], "expected 2 comma-separated floats, got '1,2,3'"),
         (["regress", "--tau", "0.3", "--u", "1,2,3"], "expected 2 comma-separated floats, got '1,2,3'"),
-        (["contour", "--tau", "0.3", "--jitter", "inf"], "jitter amplitude must be nonnegative and finite"),
-        (["contour", "--tau", "0.3", "--jitter", "nan"], "jitter amplitude must be nonnegative and finite"),
     ],
 )
-@pytest.mark.parametrize("jitter", ["0", "1e-5"])
+@pytest.mark.parametrize("jitter", JITTER_MODES)
 def test_bad_values_exit_1_before_the_input_is_checked(capsys, monkeypatch, argv, message, jitter):
-    # a --u that does not match the data's k and a non-finite numeric flag
-    # exit 1 before the general-position check of the degenerate collinear5
+    # a --u that does not match the data's k exits 1 before the
+    # general-position check of the degenerate collinear5
     def no_check(self):
         raise AssertionError("the general-position check ran")
 
     monkeypatch.setattr(PointCloud, "require_general_position", no_check)
-    code = main([argv[0], "-i", COLLINEAR, "--jitter", jitter, *argv[1:]])
+    code = main([argv[0], "-i", COLLINEAR, *jitter, *argv[1:]])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -397,6 +456,7 @@ def test_bad_values_exit_1_before_the_input_is_checked(capsys, monkeypatch, argv
          "unrecognized arguments: --method enumerate"),
         (["km", "--tau", "0.25", "--phase", "0.2"], "unrecognized arguments: --phase 0.2"),
         (["scan", "--tau", "0.25", "--flag-c", "2"], "unrecognized arguments: --flag-c 2"),
+        (["contour", "--tau", "0.25", "--jitter", "0"], "unrecognized arguments: --jitter 0"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, message):
@@ -436,6 +496,35 @@ def test_a_vector_flag_takes_a_leading_minus(capsys, tmp_path, argv, flag, value
         assert main([*argv, *tokens]) == 0
         outs.append(capsys.readouterr())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, message",
+    [
+        (["contour", "--tau", "0.3"], "--tau", "-inf",
+         "error: quantile level must lie strictly inside (0, 1), got -inf\n"),
+        (["contour", "--tau", "0.3"], "--tau", "-1e-3",
+         "error: quantile level must lie strictly inside (0, 1), got -0.001\n"),
+        (["km", "--tau", "0.3"], "--K", "-1e1", "error: argument --K: invalid int value: '-1e1'\n"),
+        (["scan", "--tau", "0.3"], "--K", "-inf", "error: argument --K: invalid int value: '-inf'\n"),
+        (["regress", "--tau", "0.3", "--u", "0,1"], "--bins", "-1e1",
+         "error: argument --bins: invalid int value: '-1e1'\n"),
+        (["regress", "--tau", "0.3", "--u", "0,1"], "--grid", "-1e1",
+         "error: argument --grid: invalid int value: '-1e1'\n"),
+        (["contour", "--tau", "0.3"], "--seed", "-inf",
+         "error: argument --seed: invalid seed value: '-inf'\n"),
+    ],
+    ids=["tau-inf", "tau-exponent", "km-K", "scan-K", "bins", "grid", "seed"],
+)
+def test_a_numeric_flag_takes_a_leading_minus(capsys, argv, flag, value, message):
+    # the value reaches its flag's own check, as with "=", and is not read
+    # as an option (or, for -inf, as -i nf)
+    outs = []
+    for tokens in ([flag, value], [f"{flag}={value}"]):
+        assert main([argv[0], "-i", HEX, *argv[1:], *tokens]) == 1
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert outs[0].err.endswith(message)
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["contour", "--help"]])
@@ -775,7 +864,7 @@ PARSE_SEQUENCE = [
     ["quantile", "-i", HEX, "--tau", "0.3", "--u", "1,0"],
     ["contour", "-i", HEX, "--tau", "0.25", "--format", "csv", "--json-errors"],
     ["contour", "-i", HEX, "--tau", "0.25"],
-    ["depth", "-i", HEX, "--x", "0.1,0.2", "--jitter", "0"],
+    ["depth", "-i", HEX, "--x", "0.1,0.2", "--no-jitter"],
     ["depth", "-i", HEX],
     ["km", "-i", HEX, "--tau", "0.25", "--K", "7", "-o", "x.json"],
     ["km", "-i", HEX, "--tau", "0.25"],

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantour import DegenerateData, PointCloud, jitter
+from quantour import DegenerateData, PointCloud, StillDegenerate, jitter
 from quantour import cloud as cloud_module
 from conftest import make_cloud
 
@@ -187,20 +187,35 @@ def test_scan_covers_every_row_above_5000():
 
 def test_jitter_is_seeded():
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.1]]))
-    a = jitter(cloud, 1e-5, seed=1)
-    b = jitter(cloud, 1e-5, seed=1)
+    a = jitter(cloud, seed=1)
+    b = jitter(cloud, seed=1)
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, cloud.points)
-    assert np.abs(a.points - cloud.points).max() <= 1e-4
-    with pytest.raises(ValueError):
-        jitter(cloud, 0.0, seed=1)
+    assert np.abs(a.points - cloud.points).max() <= 1e-5 * 4.1
+    assert not np.array_equal(jitter(cloud, seed=2).points, a.points)
 
 
-@pytest.mark.parametrize("amplitude", [np.inf, np.nan])
-def test_jitter_rejects_non_finite_amplitude(amplitude):
-    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.1]]))
-    with pytest.raises(ValueError, match="positive and finite"):
-        jitter(cloud, amplitude, seed=1)
+def test_jitter_scales_with_the_cloud():
+    # the amplitude is JITTER_SCALE times the extent, so for a power of two
+    # s the healed copy of s z is exactly s times that of z
+    z = gaussian_with_midpoint(43, 40)
+    healed = jitter(PointCloud(z), seed=3).points
+    for e in (-40, -20, 26):
+        assert np.array_equal(jitter(PointCloud(2.0**e * z), seed=3).points, 2.0**e * healed)
+    shift = np.abs(healed - z).max()
+    extent = np.ptp(z, axis=0).max()
+    assert 0.5 * cloud_module.JITTER_SCALE * extent < shift <= cloud_module.JITTER_SCALE * extent
+    # a range beyond the largest double still gives a finite amplitude
+    wide = PointCloud([[1e308, 0.0], [-1e308, 1.0]])
+    assert cloud_module._jitter_amplitude(wide) == 2.0 * cloud_module.JITTER_SCALE * 1e308
+
+
+def test_jitter_refuses_a_cloud_of_zero_extent():
+    # zero extent means zero noise, so repeated rows stay repeated
+    with pytest.raises(StillDegenerate, match="amplitude 0 ") as info:
+        jitter(PointCloud(np.full((4, 2), 3.0)))
+    assert isinstance(info.value, DegenerateData)
+    assert info.value.indices == (0, 1, 2, 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 """Halfspace depth: exact planar values and depth regions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from quantour import (
     depth_region_bruteforce_2d,
     hausdorff_distance,
 )
+from quantour import depth as depth_module
 from conftest import SQRT3, make_cloud
 
 RNG = np.random.default_rng
@@ -136,3 +139,29 @@ def test_kd_approx_three_dimensional():
     assert 1 <= val.count <= cloud.n
     far = depth_kd_approx(cloud, center + 50.0, 501, seed=2)
     assert far.count == 0
+
+
+def test_bruteforce_region_memory_is_bounded():
+    # the projections on all n(n - 1) pair normals come in column blocks:
+    # unblocked, n = 300 peaked at 436 MB (two n x n(n - 1) float arrays)
+    cloud = make_cloud(3, 300)
+    tracemalloc.start()
+    try:
+        region = depth_region_bruteforce_2d(cloud, 0.178)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert region.status == BOUNDED
+    assert peak < 100e6
+
+
+def test_blocked_projections_match_one_block(monkeypatch):
+    cloud = make_cloud(5, 150)
+    whole = depth_module._pair_halfplanes(cloud, 0.178)
+    monkeypatch.setattr(depth_module, "_BLOCK_ELEMENTS", 1000 * cloud.n)
+    blocked = depth_module._pair_halfplanes(cloud, 0.178)
+    assert np.array_equal(blocked[:, :2], whole[:, :2])
+    # a BLAS product may round a block's edge columns another way: at most
+    # an ulp of each of its two terms
+    ulp = 2.0 * np.finfo(float).eps * np.abs(cloud.points).max()
+    assert np.abs(blocked[:, 2] - whole[:, 2]).max() <= ulp
