@@ -11,6 +11,12 @@ building every arc record in ``_record``, and the arcs must tile the
 circle exactly.  ``_enumerate_arcs``, which scans every point pair's arc,
 is kept as the tests' independent oracle.
 
+General position is guarded once, by the solver: every recorded basis
+comes from ``solve_qr``, whose certificate raises DegenerateDesign when a
+row off the basis lies on the fitted line.  The sweep re-raises it as
+DegenerateData with the same ``indices``, the pair and the rows on its
+line; no per-arc scan tests collinearity a second time.
+
 Once an arc is appended, the march ahead depends only on that arc.  So
 from _FORK_MIN_POINTS points on, the circle is cut at one seam angle per
 further allowed CPU, a cold solve at each seam gives the arc there, and
@@ -121,39 +127,27 @@ def _complex_rows(z):
     return np.ascontiguousarray(z).view(np.complex128)[:, 0]
 
 
-def _side_pattern(z, i, j, tol_scale):
-    """Signed pair-line evaluations; zero for a third collinear point."""
-    w = z[j] - z[i]
-    npr = _perp(w)
-    zc = _complex_rows(z)
-    # (z - z[i]) @ npr
-    proj = (zc - zc[i]).view(np.float64).reshape(-1, 2) @ npr
-    tol = 1e-12 * tol_scale * vector_norm(w)
-    near = np.flatnonzero(np.abs(proj) <= tol).tolist()
-    degenerate = [l for l in near if l != i and l != j]
-    if degenerate:
-        raise DegenerateData(
-            "three points on a common line", indices=[i, j] + degenerate
-        )
-    return npr, proj
-
-
-def _arc_for_basis(z, tau, i, j, s, scale):
+def _arc_for_basis(z, tau, i, j, s):
     """Closed-form validity arc of basis (i, j) with orientation s.
 
     Returns (lo, hi) with 0 < hi - lo <= pi, in an arbitrary 2 pi frame,
     or None when the basis is never optimal with this orientation.  The
     five constraints (orientation sign and the four dual bounds) are all
     of the form q'u >= 0, so the arc is an intersection of half-circles.
-    ``scale`` is the sweep's 1 + max|z|, which sets the collinearity
-    tolerance.
+    No point is checked against the pair's line here: each basis the
+    march records comes from ``solve_qr``, whose certificate raises
+    DegenerateDesign, with its rows, when a third point lies on the fitted
+    line.
 
     The four dual-bound vectors are formed in Python floats, term for term
     as the array formulas would, but their norms and angles stay numpy
     calls: numpy's dot of two 2-vectors uses a fused multiply-add, and
     np.arctan2 does not always round like math.atan2.
     """
-    npr, proj = _side_pattern(z, i, j, scale)
+    npr = _perp(z[j] - z[i])
+    zc = _complex_rows(z)
+    # (z - z[i]) @ npr
+    proj = (zc - zc[i]).view(np.float64).reshape(-1, 2) @ npr
     psi = np.where(proj > 0 if s > 0 else proj < 0, tau, tau - 1.0)
     psi[i] = psi[j] = 0.0
     s0 = float(psi.sum())
@@ -226,18 +220,16 @@ def sweep(cloud: PointCloud, tau: float) -> SweepResult:
     if cloud.n < 3:
         raise DimensionMismatch("sweep needs at least 3 points")
     tau = validate_tau(tau, cloud.n)
-    # collinearity tolerance scale of every _arc_for_basis call
-    scale = 1.0 + float(np.abs(cloud.points).max())
-    raw, pivots = _march_arcs(cloud, tau, scale)
+    raw, pivots = _march_arcs(cloud, tau)
     return SweepResult(tau, pivots, *_finalize(cloud.points, tau, raw))
 
 
-def _march_arcs(cloud: PointCloud, tau: float, scale: float):
+def _march_arcs(cloud: PointCloud, tau: float):
     """Parametric traversal; returns ([(lo, hi, i, j, s)], pivots).
 
     Probes build [1, z gamma] as ``regression._design`` does.  As |u_i|,
-    |gamma_i| <= 1, |z'u| and |z'gamma| are below 2 ``scale``: only if that
-    overflows is each probe's design checked to be finite.
+    |gamma_i| <= 1, |z'u| and |z'gamma| are below 2 (1 + max|z|): only if
+    that overflows is each probe's design checked to be finite.
 
     From n = _FORK_MIN_POINTS on, the circle past the first arc is cut at
     one seam per further allowed CPU.  Each chunk marches from its seam's
@@ -250,7 +242,7 @@ def _march_arcs(cloud: PointCloud, tau: float, scale: float):
     """
     z = cloud.points
     n = z.shape[0]
-    bounded = 2.0 * scale < np.inf
+    bounded = 2.0 * (1.0 + float(np.abs(z).max())) < np.inf
 
     def solve_at(phi, warm):
         u, gamma = _planar_frame(phi)
@@ -260,24 +252,26 @@ def _march_arcs(cloud: PointCloud, tau: float, scale: float):
         try:
             sol = solve_qr(problem, initial_basis=warm)
         except DegenerateDesign as exc:
-            raise DegenerateData(f"degenerate cloud at sweep angle {phi:.9f}: {exc}")
+            raise DegenerateData(
+                f"degenerate cloud at sweep angle {phi:.9f}: {exc}", indices=exc.indices
+            )
         i, j = sol.fitted
         return sol, (i, j, 1 if float(_perp(z[j] - z[i]) @ u) > 0.0 else -1)
 
     sol, key = solve_at(0.0, None)
-    first = _record(z, tau, scale, key, 0.0)
+    first = _record(z, tau, key, 0.0)
     target = first[0] + TWO_PI
     budget = 16 * n * n + 256
 
     def march(start, stop, budget):
-        return _march(solve_at, z, tau, scale, start, target, stop, budget)
+        return _march(solve_at, z, tau, start, target, stop, budget)
 
     seams = []
     if n >= _FORK_MIN_POINTS:
         # angles that cut (end of the first arc, target) into equal chunks
         lo, chunks = first[1], _fork.workers()
         angles = [lo + (target - lo) * c / chunks for c in range(1, chunks)]
-        seams = _seams(solve_at, z, tau, scale, angles)
+        seams = _seams(solve_at, z, tau, angles)
     starts, stops = [first] + seams, seams + [None]
     parts = _fork.fork_map([
         lambda a=a, b=b: march(a, b, budget) for a, b in zip(starts, stops)
@@ -295,7 +289,7 @@ def _march_arcs(cloud: PointCloud, tau: float, scale: float):
     return records + rest, pivots + more
 
 
-def _seams(solve_at, z, tau, scale, angles):
+def _seams(solve_at, z, tau, angles):
     """The record of the arc at each angle, from a cold solve there.
 
     Returns [] when a solve or an arc fails: the serial march makes no
@@ -305,22 +299,22 @@ def _seams(solve_at, z, tau, scale, angles):
     for theta in angles:
         try:
             _sol, key = solve_at(theta, None)
-            seams.append(_record(z, tau, scale, key, theta))
+            seams.append(_record(z, tau, key, theta))
         except (QuantourError, np.linalg.LinAlgError):
             return []
     return seams
 
 
-def _record(z, tau, scale, key, phi):
+def _record(z, tau, key, phi):
     """Record (lo, hi, i, j, s) of basis key = (i, j, s), its arc shifted to contain phi."""
-    arc = _arc_for_basis(z, tau, *key, scale)
+    arc = _arc_for_basis(z, tau, *key)
     if arc is None:
         i, j, s = key
         raise ArcGap(f"basis ({i}, {j}) with orientation {s} has an empty arc at {phi:.9f}")
     return (*_align(*arc, anchor=phi), *key)
 
 
-def _march(solve_at, z, tau, scale, start, target, stop, budget):
+def _march(solve_at, z, tau, start, target, stop, budget):
     """Arc-to-arc march from record ``start``; returns (records, pivots, probes).
 
     The records follow ``start``.  The march stops on appending the record
@@ -346,7 +340,7 @@ def _march(solve_at, z, tau, scale, start, target, stop, budget):
             if advance > 0.5:
                 raise ArcGap(f"sweep stalled near angle {cursor:.9f}")
             continue
-        rec = _record(z, tau, scale, key, phi)
+        rec = _record(z, tau, key, phi)
         if rec[0] > cursor + TILE_TOL:
             # a thinner arc hides between cursor and this one: bisect into the gap
             advance = max(0.5 * (rec[0] - cursor), MIN_ADVANCE)
@@ -362,14 +356,14 @@ def _march(solve_at, z, tau, scale, start, target, stop, budget):
     return records, pivots, probes
 
 
-def _enumerate_arcs(z, tau, scale):
+def _enumerate_arcs(z, tau):
     """Oracle: nonempty validity arcs over all pairs and orientations."""
     n = z.shape[0]
     records = []
     for i in range(n - 1):
         for j in range(i + 1, n):
             for s in (1, -1):
-                arc = _arc_for_basis(z, tau, i, j, s, scale)
+                arc = _arc_for_basis(z, tau, i, j, s)
                 if arc is None:
                     continue
                 lo, hi = arc
@@ -460,7 +454,8 @@ def _certify_block(z, tau, recs):
     off[rows, fj] = False
     d = (zc - zc[fi, None]).view(np.float64).reshape(m, n, 2)
     # d @ (s npr) is s (d @ npr) up to the sign of a zero
-    sgn = (d @ (s[:, None] * npr)[:, :, None])[..., 0][off].reshape(m, n - 2)
+    side = (d @ (s[:, None] * npr)[:, :, None])[..., 0]
+    sgn = side[off].reshape(m, n - 2)
     psi = np.where(sgn > 0, tau, tau - 1.0)
     n_below = np.count_nonzero(sgn < 0, axis=1)
     z_off = np.broadcast_to(zc, (m, n))[off].view(np.float64).reshape(m, n - 2, 2)
@@ -488,9 +483,8 @@ def _certify_block(z, tau, recs):
         raise SingularSystem("stationarity system is singular")
     mult, duals = sol[:, 0], sol[:, 1:]
 
-    r = (z @ b[:, :, None])[..., 0]
-    r -= a[:, None]
-    objective = check_loss(tau, r).sum(axis=1)
+    # the residuals z b - a, which only the objective check reads
+    objective = check_loss(tau, side / (s * dn)[:, None]).sum(axis=1)
     dual_bad = ((duals > tau + 1e-9) | (duals < tau - 1.0 - 1e-9)).any(axis=1)
     mult_bad = np.abs(mult - objective) > 1e-7 * (1.0 + np.abs(objective))
     cover_bad = ~((n_below <= n * tau) & (n * tau <= n_below + 2))

@@ -110,7 +110,9 @@ def directional_quantile(cloud: PointCloud, tau: float, u) -> QuantileHyperplane
     try:
         sol = solve_qr(problem)
     except DegenerateDesign as exc:
-        raise DegenerateData(f"cloud is degenerate along direction {u!r}: {exc}")
+        raise DegenerateData(
+            f"cloud is degenerate along direction {u!r}: {exc}", indices=exc.indices
+        )
     a, d, b = _lift(sol, u, gamma, 0)
     mult, duals = _stationarity_solve(X[:, :1], z, u.vector, sol.fitted, sol.psi)
     _certify(sol, mult, duals, z, u)

@@ -50,7 +50,15 @@ class DegenerateData(QuantourError):
 
 
 class DegenerateDesign(QuantourError):
-    """Design matrix is rank deficient or no unique vertex solution exists."""
+    """Design matrix is rank deficient or no unique vertex solution exists.
+
+    ``indices``, when known: the sorted basis, then the rows off it on the
+    fitted hyperplane.  DegenerateData wrappers pass them on.
+    """
+
+    def __init__(self, message: str, indices=()):
+        self.indices = tuple(int(i) for i in indices)
+        super().__init__(message)
 
 
 class NoConvergence(QuantourError):

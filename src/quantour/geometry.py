@@ -31,6 +31,9 @@ UNIT_TOL = 1e-12
 BOX_FACTOR = 1e6
 # smallest normal double: a direction's v'v below it has lost bits
 _TINY = np.finfo(float).tiny
+# most vertex x halfplane residuals per block of _polish: 8 MB, as much
+# again for their absolute values
+_POLISH_BLOCK_ELEMENTS = 1 << 20
 
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
@@ -445,12 +448,31 @@ def _bounded_clip(B, A, box_half, method):
     raise SingularSystem("halfplane clipping failed to terminate")
 
 
+def _residual_blocks(V, B, A):
+    """Yield (columns, V @ B[columns].T - A[columns]) over blocks of halfplanes.
+
+    The blocks start on multiples of 64 columns, where BLAS tiles the
+    whole product too, so at one BLAS thread each residual has the bits
+    of the unblocked product.
+    """
+    m = len(A)
+    step = max(64, _POLISH_BLOCK_ELEMENTS // V.shape[0] // 64 * 64)
+    for lo in range(0, m, step):
+        cols = slice(lo, min(lo + step, m))
+        res = V @ B[cols].T
+        res -= A[cols]
+        yield cols, res
+
+
 def _polish(V, B, A):
     """Identify facets, recompute vertices as exact line intersections."""
     vert_scale = 1.0 + float(np.abs(V).max())
     facet_tol = 1e-8 * vert_scale
-    res = V @ B.T - A
-    tight_counts = (np.abs(res) <= facet_tol).sum(axis=0)
+    tight_counts = np.empty(len(A), dtype=int)
+    raw_mins = []
+    for cols, res in _residual_blocks(V, B, A):
+        tight_counts[cols] = (np.abs(res) <= facet_tol).sum(axis=0)
+        raw_mins.append(res.min())
     facet_idx = np.nonzero(tight_counts >= 2)[0]
     if facet_idx.size < 3:
         # should not happen for a genuine 2-D region
@@ -472,13 +494,12 @@ def _polish(V, B, A):
         else:
             new_vertices[i] = np.linalg.solve(M, np.array([fa[i], fa[j]]))
 
-    check = new_vertices @ B.T - A
+    check = np.min([res.min() for _, res in _residual_blocks(new_vertices, B, A)])
     tol = GEOM_TOL * (1.0 + float(np.abs(A).max()))
     facets = np.column_stack([fb, fa])
-    if check.min() >= -tol:
+    if check >= -tol:
         return ConvexRegion2D(new_vertices, facets, BOUNDED)
     # fall back to the raw clipped polygon if the rebuild is worse
-    raw_check = V @ B.T - A
-    if raw_check.min() >= -tol:
+    if np.min(raw_mins) >= -tol:
         return ConvexRegion2D(V, facets, BOUNDED)
     raise SingularSystem("halfplane intersection failed verification")

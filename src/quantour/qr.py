@@ -289,7 +289,8 @@ def solve_qr(problem: QrProblem, initial_basis=None) -> QrSolution:
     ------
     DegenerateDesign
         Rank-deficient design, or a non-fitted observation with zero
-        residual at the optimum (no unique p-point vertex).
+        residual at the optimum (no unique p-point vertex); the latter
+        carries the sorted basis and those rows as ``indices``.
     NoConvergence
         More than max(500, 50 n) pivots, or an optimality certificate failed.
     """
@@ -351,7 +352,8 @@ def solve_qr(problem: QrProblem, initial_basis=None) -> QrSolution:
     if stray.size:
         raise DegenerateDesign(
             f"rows {stray.tolist()} lie on the fitted hyperplane but are not in the "
-            "basis; general position fails"
+            "basis; general position fails",
+            indices=sorted(B.tolist()) + stray.tolist(),
         )
 
     order = B.argsort(kind="stable")

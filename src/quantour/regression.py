@@ -200,7 +200,7 @@ def regression_quantile(rp: RegressionProblem) -> RegressionQuantile:
     try:
         sol = solve_qr(_reduced_problem(t, design, rp.tau))
     except DegenerateDesign as exc:
-        raise DegenerateData(f"degenerate regression design: {exc}")
+        raise DegenerateData(f"degenerate regression design: {exc}", indices=exc.indices)
     q = rp.p - 1
     a, _, b = _lift(sol, rp.u, gamma, q)
     mult, duals = _stationarity_solve(

@@ -30,6 +30,7 @@ FIXTURES = resources.files("quantour") / "fixtures"
 HEX = str(FIXTURES / "hexagon.csv")
 TRI = str(FIXTURES / "tri.csv")
 COLLINEAR = str(FIXTURES / "collinear5.csv")
+COLLINEAR_DESIGN = str(FIXTURES / "collinear_design.csv")
 # jitter off and on; each id is the relative jitter amplitude in effect
 JITTER_MODES = [pytest.param(["--no-jitter"], id="0"), pytest.param([], id="1e-5")]
 
@@ -273,6 +274,30 @@ def test_a_cloud_jitter_cannot_heal_exits_3_with_its_rows(capsys, tmp_path, json
                                    "indices": [0, 1, 2, 3], "message": message}
     else:
         assert err == f"error: {message}\n"
+
+
+def test_a_third_row_on_the_regression_line_exits_3_with_its_rows(capsys):
+    # a tagged design is never jittered; the solver's certificate finds row 1
+    # on the line through its basis, rows 0 and 2
+    argv = ["regress", "-i", COLLINEAR_DESIGN, "--tau", "0.25", "--u", "0,1", "--json-errors"]
+    assert main(argv) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "DegenerateData"
+    assert payload["indices"] == [0, 2, 1]
+    assert payload["message"].endswith("general position fails (rows [0, 2, 1])")
+
+
+def test_a_fourth_row_on_a_spatial_quantile_plane_exits_3_with_its_rows(capsys, tmp_path):
+    # no coplanarity check runs for k = 3, so the solver's certificate names
+    # rows 0 to 3, which all lie on z = 0
+    rows = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (3, 3, 0), (1, 2, 2), (3, 1, 1),
+            (2, 3, 3), (4, 4, 2), (1, 1, 4), (2, 1, -1), (1, 3, -2), (3, 2, -3)]
+    path = write(tmp_path, "c.csv", "x,y,z\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    argv = ["quantile", "-i", path, "--tau", "0.35", "--u", "0,0,1", "--json-errors"]
+    assert main(argv) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "DegenerateData"
+    assert payload["indices"] == [0, 1, 3, 2]
 
 
 def test_missing_file_exit_1(capsys):

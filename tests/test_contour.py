@@ -8,6 +8,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quantour.contour as contour_module
 from quantour import (
@@ -252,6 +254,73 @@ def test_region_affine_equivariance():
     assert hausdorff_distance(pushed, r1) <= 1e-7
 
 
+@st.composite
+def no_three_in_line(draw):
+    """(points, tau): n in 6..60 distinct x in 0..p-1 at (x, x^2 mod p), p prime.
+
+    No three such points are collinear (the modular parabola), and every
+    coordinate is a small integer, so the cloud is in general position
+    exactly.  tau = (k + 1/2) / n keeps n tau off the integers.
+    """
+    n = draw(st.integers(6, 60))
+    p = draw(st.sampled_from([61, 101, 1009]))
+    x = np.array(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True)))
+    k = draw(st.integers(0, n // 2 - 1))
+    return np.column_stack([x, x * x % p]).astype(float), (k + 0.5) / n
+
+
+def arcs_by_key(result, relabel=None):
+    """{(i, j, s): (start, width)}, (i, j) mapped through relabel if given, i < j."""
+    out = {}
+    for (lo, hi), (i, j), s in zip(result.arcs.tolist(), result.fitted.tolist(), result.orientation):
+        if relabel is not None:
+            i, j = relabel[i], relabel[j]
+        key = (i, j, int(s)) if i < j else (j, i, -int(s))
+        out[key] = (lo, hi - lo)
+    return out
+
+
+def assert_same_arcs_shifted(got, want, shift):
+    """Equal keys, starts equal mod 2 pi after the shift, widths within 1e-12."""
+    assert got.keys() == want.keys()
+    for key, (lo, width) in want.items():
+        glo, gwidth = got[key]
+        assert abs((glo - lo - shift + np.pi) % TWO_PI - np.pi) <= 1e-12, key
+        assert abs(gwidth - width) <= 1e-12, key
+
+
+@settings(max_examples=15, deadline=None)
+@given(no_three_in_line(), st.data())
+def test_relabelled_rows_relabel_the_arc_keys(case, data):
+    z, tau = case
+    perm = data.draw(st.permutations(range(len(z))))
+    want = arcs_by_key(sweep(PointCloud(z), tau))
+    # row k of the relabelled cloud is row perm[k] of z
+    got = arcs_by_key(sweep(PointCloud(z[perm]), tau), relabel=perm)
+    assert_same_arcs_shifted(got, want, 0.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(no_three_in_line(), st.integers(1, 3))
+def test_a_quarter_turn_shifts_every_arc(case, turns):
+    z, tau = case
+    rotated = z.copy()
+    for _ in range(turns):  # (x, y) -> (-y, x), exact
+        rotated = np.column_stack([-rotated[:, 1], rotated[:, 0]])
+    base, turned = sweep(PointCloud(z), tau), sweep(PointCloud(rotated), tau)
+    assert_same_arcs_shifted(arcs_by_key(turned), arcs_by_key(base), turns * 0.5 * np.pi)
+    region, turned_region = fixed_tau_region(base), fixed_tau_region(turned)
+    assert turned_region.status == region.status
+    if region.status == BOUNDED:
+        want = region.vertices
+        for _ in range(turns):
+            want = np.column_stack([-want[:, 1], want[:, 0]])
+        # equal as point sets: where three facets meet at a data point, the
+        # intersection may keep that vertex more times on one side
+        gap = np.abs(turned_region.vertices[:, None, :] - want[None, :, :]).max(axis=2)
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * np.abs(want).max()
+
+
 def test_empty_region_at_high_level(square):
     result = sweep(square, 0.7)
     region = fixed_tau_region(result)
@@ -275,6 +344,33 @@ def test_sweep_input_validation(collinear5):
         sweep(cloud, 0.3)
     with pytest.raises(DimensionMismatch):
         sweep(PointCloud(np.eye(3)), 0.305)
+
+
+def planted_cloud(seed, rel):
+    """Gaussian cloud of 8 to 39 rows; row 2 lies rel |z_1 - z_0| off the line of rows 0, 1."""
+    rng = RNG(seed)
+    z = rng.standard_normal((int(rng.integers(8, 40)), 2))
+    w = z[1] - z[0]
+    z[2] = z[0] + rng.uniform(-1.5, 2.5) * w + rel * _perp(w)
+    return PointCloud(z)
+
+
+def test_a_planted_collinear_triple_is_named_by_the_solver():
+    # the solver's certificate is the sweep's one collinearity guard: each
+    # sweep certifies or raises, and a degeneracy names the planted rows
+    taus = (0.101, 0.178, 0.305)
+    named = 0
+    for seed in range(60):
+        for rel in (0.0, 1e-13, 1e-11):
+            try:
+                sweep(planted_cloud(seed, rel), taus[seed % 3])
+            except DegenerateData as exc:
+                assert set(exc.indices) == {0, 1, 2}, str(exc)
+                assert f"(rows {list(exc.indices)})" in str(exc)
+                named += 1
+            except QuantourError:
+                pass
+    assert named > 0
 
 
 def test_sweep_determinism():
@@ -433,8 +529,7 @@ def table(z, tau, raw):
 
 def enumerated(cloud, tau):
     """The oracle's table: _finalize over every pair's validity arc."""
-    scale = 1.0 + float(np.abs(cloud.points).max())
-    return table(cloud.points, tau, contour_module._enumerate_arcs(cloud.points, tau, scale))
+    return table(cloud.points, tau, contour_module._enumerate_arcs(cloud.points, tau))
 
 
 def assert_same_hyperplane(result, k, want, n):
@@ -615,12 +710,11 @@ def test_arc_for_basis_matches_reference():
     rng = RNG(91)
     for n, scale in ((12, 1e-3), (80, 1.0), (300, 1e5)):
         z = make_cloud(int(rng.integers(1, 1 << 30)), n, scale=scale).points
-        scale_z = 1.0 + float(np.abs(z).max())
         for _ in range(700):
             i, j = (int(v) for v in rng.choice(n, 2, replace=False))
             s = int(rng.choice([1, -1]))
             tau = float(rng.uniform(0.02, 0.98))
-            got = contour_module._arc_for_basis(z, tau, i, j, s, scale_z)
+            got = contour_module._arc_for_basis(z, tau, i, j, s)
             assert got == reference_arc_for_basis(z, tau, i, j, s)
 
 
@@ -654,7 +748,7 @@ def reference_march_arcs(cloud, tau, scale, solve):
 
     sol, key = solve_at(0.0, None)
     pivots = sol.pivots
-    arc = contour_module._arc_for_basis(z, tau, *key, scale)
+    arc = contour_module._arc_for_basis(z, tau, *key)
     if arc is None:
         raise ArcGap("initial basis has an empty validity arc")
     lo0, hi0 = contour_module._align(*arc, anchor=0.0)
@@ -677,7 +771,7 @@ def reference_march_arcs(cloud, tau, scale, solve):
             if advance > 0.5:
                 raise ArcGap(f"sweep stalled near angle {cursor:.9f}")
             continue
-        arc = contour_module._arc_for_basis(z, tau, *key, scale)
+        arc = contour_module._arc_for_basis(z, tau, *key)
         if arc is None:
             raise ArcGap(f"optimal basis at angle {phi:.9f} reports an empty arc")
         lo, hi = contour_module._align(*arc, anchor=phi)
@@ -856,7 +950,7 @@ def test_seams_on_arc_boundaries_give_the_serial_bytes(monkeypatch, forks, cpus,
     bounds = [float(want.arcs[m * c // cpus - side, side]) for c in range(1, cpus)]
     seams = contour_module._seams
     monkeypatch.setattr(contour_module, "_seams",
-                        lambda solve_at, z, tau, scale, angles: seams(solve_at, z, tau, scale, bounds))
+                        lambda solve_at, z, tau, angles: seams(solve_at, z, tau, bounds))
     allow_cpus(monkeypatch, cpus)
     assert_same_sweep(sweep(cloud, 0.1785), want)
     assert len(forks) == cpus - 1
@@ -916,12 +1010,12 @@ def test_an_empty_arc_names_its_basis_and_angle(monkeypatch, forks, tmp_path):
     hits = tmp_path / "pids"
     arc_for_basis = contour_module._arc_for_basis
 
-    def empty_at_key(z, tau, i, j, s, scale):
+    def empty_at_key(z, tau, i, j, s):
         if (i, j, s) == key:
             with open(hits, "a") as log:
                 log.write(f"{os.getpid()}\n")
             return None
-        return arc_for_basis(z, tau, i, j, s, scale)
+        return arc_for_basis(z, tau, i, j, s)
 
     monkeypatch.setattr(contour_module, "_arc_for_basis", empty_at_key)
     with pytest.raises(ArcGap) as serial:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,3 +423,32 @@ def test_dedupe_directions_matches_loop_reference():
         if got[2][0] < -np.pi:
             seen.add("wrapped")
     assert seen == {"merged", "wrapped"}
+
+
+def test_polish_residuals_come_in_bounded_blocks(monkeypatch):
+    # unblocked, _polish formed whole vertices x halfplanes residual arrays
+    # and peaked at 197 MB on this cloud, above what it held on entry
+    cloud = make_cloud(7, 400)
+    polish = geometry_module._polish
+    peaks = []
+
+    def traced(V, B, A):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        region = polish(V, B, A)
+        peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        return region
+
+    monkeypatch.setattr(geometry_module, "_polish", traced)
+    tracemalloc.start()
+    try:
+        whole = depth_region_bruteforce_2d(cloud, 0.2013)
+    finally:
+        tracemalloc.stop()
+    assert whole.status == BOUNDED and len(peaks) == 1
+    assert peaks[0] < 40e6
+    # the facets and vertices do not depend on the block size
+    monkeypatch.setattr(geometry_module, "_POLISH_BLOCK_ELEMENTS", 64)
+    blocked = depth_region_bruteforce_2d(cloud, 0.2013)
+    assert blocked.vertices.tobytes() == whole.vertices.tobytes()
+    assert blocked.halfplanes.tobytes() == whole.halfplanes.tobytes()

@@ -200,6 +200,17 @@ def test_rank_deficient_design_raises():
         solve_qr(QrProblem(y, X, 0.33))
 
 
+def test_a_row_on_the_optimal_line_is_named_with_the_basis():
+    # rows 0, 1 and 2 lie on y = x / 2, and the 0.25-quantile line is that one
+    x = np.array([0.0, 2.0, 4.0, 1.0, 3.0, 1.0, 3.0, 5.0, 0.0, 2.0])
+    y = np.array([0.0, 1.0, 2.0, -1.0, 0.0, 2.0, 4.0, 5.0, 3.0, 6.0])
+    with pytest.raises(DegenerateDesign) as info:
+        solve_qr(QrProblem(y, np.column_stack([np.ones(10), x]), 0.25))
+    # the sorted basis, then the rows off it at zero residual
+    assert info.value.indices == (0, 2, 1)
+    assert str(info.value).startswith("rows [1] lie on the fitted hyperplane")
+
+
 def test_dual_weights_recomputation():
     rng = RNG(27)
     y, X, tau = random_instance(rng)
