@@ -4,7 +4,10 @@ These are deliberately simple, brute-force computations used as ground
 truth for the contour machinery: an O(n log n) angular-sweep point depth
 in the plane, an O(n^3) depth-region construction from point-pair lines,
 and a sampled-direction upper bound for higher dimensions.  None of them
-share code with the quantile solver, which is the point.
+share code with the quantile solver, which is the point.  The depth
+region's blocked order-statistic rows, ``_quantile_rows``, also give
+``km_envelope`` its halfplanes: both are checked against the sweep, not
+against each other.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .qr import validate_tau
 BOUNDARY_TOL = 1e-9
 # angular slack implementing the same tie rule in the sweep
 ANGLE_SLACK = 1e-12
-# most projections per block of _pair_halfplanes: 16 MB, and as much again
+# most projections per block of _quantile_rows: 16 MB, and as much again
 # for the partition
 _BLOCK_ELEMENTS = 1 << 21
 
@@ -107,18 +110,26 @@ def _pair_halfplanes(cloud: PointCloud, tau: float) -> np.ndarray:
     good = lengths > 1e-12
     normals = normals[good] / lengths[good, None]
     normals = np.vstack([normals, -normals])
+    return np.column_stack([normals, _quantile_rows(z, m0, normals)])
 
-    # project in column blocks that start on multiples of 64 columns, where
-    # BLAS tiles the whole product too, so at one BLAS thread each product
-    # rounds as unblocked; an order statistic is an element of its column
-    m = len(normals)
+
+def _quantile_rows(z, m0: int, normals) -> np.ndarray:
+    """The m0-th smallest projection u'z_i for each row u of ``normals``.
+
+    Projects in column blocks of at most ``_BLOCK_ELEMENTS`` that start on
+    multiples of 64 columns, where BLAS tiles the whole product too, so at
+    one BLAS thread each product rounds as unblocked; an order statistic
+    is an element of its column.  Shared by the brute-force region's pair
+    normals and ``km_envelope``'s direction grid.
+    """
+    n, m = z.shape[0], len(normals)
     blocks = -(-n * m // _BLOCK_ELEMENTS)
     cuts = [m * i // blocks // 64 * 64 for i in range(blocks)] + [m]
     offsets = np.empty(m)
     for lo, hi in zip(cuts, cuts[1:]):
         proj = z @ normals[lo:hi].T
         offsets[lo:hi] = np.partition(proj, m0 - 1, axis=0)[m0 - 1]
-    return np.column_stack([normals, offsets])
+    return offsets
 
 
 def depth_kd_approx(cloud: PointCloud, x, K: int, seed: int = 0) -> DepthValue:

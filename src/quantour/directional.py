@@ -16,8 +16,6 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import (
-    DegenerateData,
-    DegenerateDesign,
     DimensionMismatch,
     EllOutOfRange,
     EmptyHalfspace,
@@ -25,8 +23,9 @@ from .errors import (
     SingularSystem,
 )
 from .geometry import Direction
+# solve_qr stays bound here for the benchmark tracer; the fit solves in regression
 from .qr import solve_qr, validate_tau
-from .regression import _certify, _design, _lift, _reduced_problem, _stationarity_solve
+from .regression import _fit, _stationarity_solve
 
 # multiplier_scan flags multipliers more than FLAG_C MADs above the median
 FLAG_C = 3.0
@@ -85,8 +84,8 @@ class QuantileHyperplane:
 def directional_quantile(cloud: PointCloud, tau: float, u) -> QuantileHyperplane:
     """Exact tau-quantile hyperplane in direction u.
 
-    Solves the reduced quantile regression of u'z on the orthocomplement
-    coordinates (the regression reduction with no regressors), rebuilds
+    Runs ``regression._fit`` with no regressors: it solves the reduced
+    quantile regression of u'z on the orthocomplement coordinates, rebuilds
     (a, b), and verifies in-solve that the Lagrange multiplier from the
     stationarity system matches the optimal objective (within 1e-7) and
     that multiplier * u = sum(psi_i z_i) holds per coordinate.
@@ -105,17 +104,8 @@ def directional_quantile(cloud: PointCloud, tau: float, u) -> QuantileHyperplane
         raise DimensionMismatch(f"direction has k={u.k}, cloud has k={k}")
     if n <= k:
         raise DimensionMismatch(f"need n > k observations, got n={n}, k={k}")
-    y, X, gamma = _design(z, np.empty((n, 0)), u)
-    problem = _reduced_problem(y, X, validate_tau(tau, n))
-    try:
-        sol = solve_qr(problem)
-    except DegenerateDesign as exc:
-        raise DegenerateData(
-            f"cloud is degenerate along direction {u!r}: {exc}", indices=exc.indices
-        )
-    a, d, b = _lift(sol, u, gamma, 0)
-    mult, duals = _stationarity_solve(X[:, :1], z, u.vector, sol.fitted, sol.psi)
-    _certify(sol, mult, duals, z, u)
+    what = "cloud is degenerate along direction {u!r}"
+    sol, a, d, b, mult, duals = _fit(z, np.empty((n, 0)), validate_tau(tau, n), u, what)
     return QuantileHyperplane(
         tau=tau,
         u=u,

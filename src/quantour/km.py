@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
+from .depth import _quantile_rows
 from .errors import DimensionMismatch, NotBounded
 from .geometry import (
     BOUNDED,
@@ -33,7 +34,9 @@ def km_envelope(cloud: PointCloud, tau: float, K: int) -> ConvexRegion2D:
     The directions are u_j at angle 2 pi j / K, j = 0..K-1, for an integer
     K of at least 3, and q_j is the lower (ceil(n tau)-th) order statistic
     of the projections u_j'z_i, so the K -> infinity limit matches the
-    exact region convention.
+    exact region convention.  The rows come from the brute-force depth
+    region's blocked order statistics (``depth._quantile_rows``), so a
+    large n * K never holds all the projections at once.
     """
     if int(K) != K or K < 3:
         raise ValueError(f"need at least 3 directions, got K={K}")
@@ -43,8 +46,7 @@ def km_envelope(cloud: PointCloud, tau: float, K: int) -> ConvexRegion2D:
     m0 = math.ceil(cloud.n * tau)
     angles = 2.0 * np.pi * np.arange(K) / K
     U = np.column_stack([np.cos(angles), np.sin(angles)])
-    proj = cloud.points @ U.T
-    q = np.partition(proj, m0 - 1, axis=0)[m0 - 1]
+    q = _quantile_rows(cloud.points, m0, U)
     return intersect_halfplanes_2d(np.column_stack([U, q]), method="eager")
 
 

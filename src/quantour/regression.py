@@ -3,14 +3,14 @@
 Directions are restricted to the response subspace: the hyperplane
 b'y = c'x + a with b'u = 1 minimizes the check loss of b'y_i - c'x_i - a.
 The location case is the special case with no regressors, so this
-module holds the one reduction (design, lift, stationarity solve and
-certificates) that the directional quantile and the regression fit
-share, and the direction sweep uses its problem hand-off.  One exact
-solve handles any (p, k), and with no regressors the regression fit
-returns the directional quantile's bits.  Fixed-x cuts assemble a
-response-space region from a grid of fitted directions, and the coverage
-diagnostic turns the lower-halfspace fractions into a binned linearity
-check.
+module holds the one fit, ``_fit`` (design, solve, lift, stationarity
+solve and certificates), that the directional quantile and the
+regression fit both call, and the direction sweep uses its problem
+hand-off.  One exact solve handles any (p, k), and with no regressors
+the regression fit returns the directional quantile's bits.  Fixed-x
+cuts assemble a response-space region from a grid of fitted directions,
+and the coverage diagnostic turns the lower-halfspace fractions into a
+binned linearity check.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .geometry import (
     intersect_halfplanes_2d,
     orthocomplement_basis,
 )
-from .qr import QrProblem, QrSolution, solve_qr, validate_tau
+from .qr import QrProblem, solve_qr, validate_tau
 
 # in-solve verification tolerances for the multiplier identity and the
 # stationarity reconstruction, shared by the location and regression fits
@@ -154,25 +154,31 @@ def _reduced_problem(t, design, tau: float, finite: bool = False) -> QrProblem:
     return QrProblem._trusted(t, design, tau)
 
 
-def _lift(sol: QrSolution, u: Direction, gamma, q: int):
-    """Intercept a, response coefficients d and normal b = u - Gamma d."""
+def _fit(Y, X, tau: float, u: Direction, what: str):
+    """Solve, lift and certify the tau-u fit of Y on [1, X]; X may have no columns.
+
+    The one fit of the location and regression cases.  A degenerate design
+    raises DegenerateData naming its rows, its message led by
+    ``what.format(u=u)`` (formatted on that path only).  The multiplier
+    must equal the optimal objective and be nonnegative, the stationarity
+    duals must agree with the exchange duals, and multiplier * u =
+    sum(psi_i y_i) must hold per coordinate; off the basis ``sol.psi`` is
+    tau / tau-1 by residual sign, as solve_qr rejects off-basis rows with
+    |r| < ztol.  Returns (sol, a, d, b, multiplier, duals): intercept a,
+    response coefficients d and normal b = u - Gamma d.
+    """
+    t, design, gamma = _design(Y, X, u)
+    try:
+        sol = solve_qr(_reduced_problem(t, design, tau))
+    except DegenerateDesign as exc:
+        raise DegenerateData(f"{what.format(u=u)}: {exc}", indices=exc.indices)
+    q = X.shape[1]
     a = float(sol.beta[0])
     d = sol.beta[1 + q :]
     b = u.vector - gamma @ d
     if abs(b @ u.vector - 1.0) > 1e-9:
         raise NoConvergence("normalization b'u = 1 failed")
-    return a, d, b
-
-
-def _certify(sol: QrSolution, mult: float, duals, Y, u: Direction) -> None:
-    """Verify a lifted solve against its stationarity system.
-
-    The multiplier must equal the optimal objective and be nonnegative,
-    the stationarity duals must agree with the exchange duals, and the
-    response-space KKT condition multiplier * u = sum(psi_i y_i) must hold
-    per coordinate.  Off the basis ``sol.psi`` is tau / tau-1 by residual
-    sign: solve_qr rejects off-basis rows with |r| < ztol.
-    """
+    mult, duals = _stationarity_solve(design[:, : 1 + q], Y, u.vector, sol.fitted, sol.psi)
     objective = sol.objective
     if abs(mult - objective) > MULT_TOL * (1.0 + abs(objective)):
         raise NoConvergence(
@@ -187,6 +193,7 @@ def _certify(sol: QrSolution, mult: float, duals, Y, u: Direction) -> None:
     gap = mult * u.vector - Y.T @ psi
     if float(np.abs(gap).max()) > KKT_TOL * (1.0 + abs(mult)):
         raise NoConvergence("stationarity reconstruction failed")
+    return sol, a, d, b, mult, duals
 
 
 def regression_quantile(rp: RegressionProblem) -> RegressionQuantile:
@@ -196,23 +203,13 @@ def regression_quantile(rp: RegressionProblem) -> RegressionQuantile:
     system matches the optimal objective and that the response-space KKT
     condition multiplier * u = sum(psi_i y_i) holds per coordinate.
     """
-    t, design, gamma = _design(rp.Y, rp.X, rp.u)
-    try:
-        sol = solve_qr(_reduced_problem(t, design, rp.tau))
-    except DegenerateDesign as exc:
-        raise DegenerateData(f"degenerate regression design: {exc}", indices=exc.indices)
-    q = rp.p - 1
-    a, _, b = _lift(sol, rp.u, gamma, q)
-    mult, duals = _stationarity_solve(
-        design[:, : rp.p], rp.Y, rp.u.vector, sol.fitted, sol.psi
-    )
-    _certify(sol, mult, duals, rp.Y, rp.u)
+    sol, a, _, b, mult, duals = _fit(rp.Y, rp.X, rp.tau, rp.u, "degenerate regression design")
     return RegressionQuantile(
         tau=rp.tau,
         u=rp.u,
         a=a,
         b=b,
-        c=np.array(sol.beta[1 : 1 + q]),
+        c=np.array(sol.beta[1 : rp.p]),
         multiplier=mult,
         fitted=sol.fitted,
         duals=duals,

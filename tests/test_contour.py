@@ -15,6 +15,7 @@ import quantour.contour as contour_module
 from quantour import (
     BOUNDED,
     EMPTY,
+    OUTSIDE,
     ArcGap,
     DegenerateData,
     DegenerateTau,
@@ -26,6 +27,7 @@ from quantour import (
     depth_region_bruteforce_2d,
     fixed_tau_region,
     hausdorff_distance,
+    km_envelope,
     probability_contents,
     sweep,
 )
@@ -319,6 +321,34 @@ def test_a_quarter_turn_shifts_every_arc(case, turns):
         # intersection may keep that vertex more times on one side
         gap = np.abs(turned_region.vertices[:, None, :] - want[None, :, :]).max(axis=2)
         assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * np.abs(want).max()
+
+
+@st.composite
+def two_levels(draw):
+    """(points, tau_1, tau_2): a no_three_in_line cloud at two levels (k + 1/2) / n."""
+    z, _ = draw(no_three_in_line())
+    n = len(z)
+    levels = st.lists(st.integers(0, n // 2 - 1), min_size=2, max_size=2, unique=True)
+    k_1, k_2 = sorted(draw(levels))
+    return z, (k_1 + 0.5) / n, (k_2 + 0.5) / n
+
+
+REGIONS = {
+    "sweep": lambda cloud, tau: fixed_tau_region(sweep(cloud, tau)),
+    "bruteforce": depth_region_bruteforce_2d,
+    "km": lambda cloud, tau: km_envelope(cloud, tau, 64),
+}
+
+
+@pytest.mark.parametrize("construction", REGIONS)
+@settings(max_examples=25, deadline=None)
+@given(two_levels())
+def test_regions_nest_in_tau(construction, case):
+    # no vertex of the tau_2 region lies outside the tau_1 region
+    z, tau_1, tau_2 = case
+    cloud = PointCloud(z)
+    outer, inner = (REGIONS[construction](cloud, tau) for tau in (tau_1, tau_2))
+    assert OUTSIDE not in outer.classify_many(inner.vertices)
 
 
 def test_empty_region_at_high_level(square):

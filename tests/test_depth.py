@@ -14,8 +14,10 @@ from quantour import (
     depth_kd_approx,
     depth_region_bruteforce_2d,
     hausdorff_distance,
+    km_envelope,
 )
 from quantour import depth as depth_module
+from quantour import km as km_module
 from conftest import SQRT3, make_cloud
 
 RNG = np.random.default_rng
@@ -155,13 +157,39 @@ def test_bruteforce_region_memory_is_bounded():
     assert peak < 100e6
 
 
+def km_rows(cloud, tau, K=4001):
+    """The halfplane rows km_envelope hands to the intersection."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km_module, "intersect_halfplanes_2d", lambda H, method: seen.append(H))
+        km_envelope(cloud, tau, K)
+    return seen[0]
+
+
 def test_blocked_projections_match_one_block(monkeypatch):
+    # the brute-force region's pair rows and km's K-grid rows share the blocks
     cloud = make_cloud(5, 150)
-    whole = depth_module._pair_halfplanes(cloud, 0.178)
+    builders = (depth_module._pair_halfplanes, km_rows)
+    whole = [rows(cloud, 0.178) for rows in builders]
     monkeypatch.setattr(depth_module, "_BLOCK_ELEMENTS", 1000 * cloud.n)
-    blocked = depth_module._pair_halfplanes(cloud, 0.178)
-    assert np.array_equal(blocked[:, :2], whole[:, :2])
     # a BLAS product may round a block's edge columns another way: at most
     # an ulp of each of its two terms
     ulp = 2.0 * np.finfo(float).eps * np.abs(cloud.points).max()
-    assert np.abs(blocked[:, 2] - whole[:, 2]).max() <= ulp
+    for rows, want in zip(builders, whole):
+        blocked = rows(cloud, 0.178)
+        assert np.array_equal(blocked[:, :2], want[:, :2])
+        assert np.abs(blocked[:, 2] - want[:, 2]).max() <= ulp
+
+
+def test_envelope_memory_is_bounded():
+    # km projects on its K-grid in the depth region's column blocks:
+    # unblocked, n = 2000 and K = 4001 peaked at 133 MB (two n x K arrays)
+    cloud = make_cloud(6, 2000)
+    tracemalloc.start()
+    try:
+        region = km_envelope(cloud, 0.2017, 4001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert region.status == BOUNDED
+    assert peak < 48e6

@@ -1,5 +1,7 @@
 """Multiple-output regression quantiles, cuts, and coverage checks."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from quantour import (
     solve_qr,
     sweep,
 )
-from quantour import directional as directional_module
 from quantour import regression as regression_module
 
 RNG = np.random.default_rng
@@ -234,6 +235,25 @@ def test_perturbed_line_fixture():
     # row 1 residual: 2 - 2.15 = -0.15, check loss 0.6 * 0.15 = 0.09
     r = q.residual(X, Y)
     assert abs(r[1] + 0.15) <= 1e-12
+
+
+def test_degenerate_data_names_its_fit_and_rows():
+    # the one fit keeps each caller's context in front of the solver's rows;
+    # no coplanarity check runs for k = 3, so rows 0 to 3 on z = 0 reach it
+    rows = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (3, 3, 0), (1, 2, 2), (3, 1, 1),
+            (2, 3, 3), (4, 4, 2), (1, 1, 4), (2, 1, -1), (1, 3, -2), (3, 2, -3)]
+    with pytest.raises(DegenerateData) as info:
+        directional_quantile(PointCloud(np.array(rows, dtype=float)), 0.35, [0.0, 0.0, 1.0])
+    assert str(info.value).startswith("cloud is degenerate along direction Direction(")
+    assert sorted(info.value.indices) == [0, 1, 2, 3]
+    # a third row on the fitted line of a design with no regressors
+    path = resources.files("quantour") / "fixtures" / "collinear_design.csv"
+    Y = np.loadtxt(str(path), delimiter=",", skiprows=1)
+    rp = RegressionProblem(np.empty((len(Y), 0)), Y, 0.25, Direction([0.0, 1.0]))
+    with pytest.raises(DegenerateData) as info:
+        regression_quantile(rp)
+    assert str(info.value).startswith("degenerate regression design:")
+    assert list(info.value.indices) == [0, 2, 1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -556,7 +576,6 @@ def test_uncopied_problem_gives_the_public_problem_results(monkeypatch):
     with np.errstate(over="ignore"):
         got = run()
         monkeypatch.setattr(regression_module, "_reduced_problem", public_reduced_problem)
-        monkeypatch.setattr(directional_module, "_reduced_problem", public_reduced_problem)
         want = run()
     assert got == want
     assert want[-1] == want[-2] == want[-3] == (DimensionMismatch, "inputs must be finite")
