@@ -57,6 +57,7 @@ from .contour import (
     fixed_tau_region,
     probability_contents,
     sweep,
+    tau_region,
 )
 from .km import RegionComparison, compare_regions, km_envelope
 from .regression import (

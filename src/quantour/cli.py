@@ -16,10 +16,11 @@ a}.  The RNG is numpy's default_rng seeded from --seed, a non-negative
 integer; OS randomness is never used.  A numeric flag (--u, --x, --x0,
 --tau, --K, --bins, --grid, --seed) takes a leading minus with or
 without "=".
-regress --x0 solves its direction grid, and the sweep behind contour and
-km marches its circle on clouds of 200 points or more, over the CPUs the
-process may use, in forked children (quantour._fork); the bytes do not
-depend on how many.
+regress --x0 solves its direction grid, and contour marches its sweep's
+circle on clouds of 200 points or more, over the CPUs the process may
+use, in forked children (quantour._fork); the bytes do not depend on how
+many.  km and fig2 trace their regions with the serial rotating-line
+walk (contour.tau_region).
 
 Exit codes: 0 success, 2 degenerate tau (message names the nearest
 admissible levels), 3 degenerate data that --no-jitter refused or that
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import __version__, _fork
 from .cloud import PointCloud, _jitter_amplitude, jitter
-from .contour import fixed_tau_region, probability_contents, sweep
+from .contour import fixed_tau_region, probability_contents, sweep, tau_region
 from .depth import depth_2d, depth_region_bruteforce_2d
 from .directional import (
     directional_quantile,
@@ -422,7 +423,7 @@ def _cmd_km(args):
     validate_tau(args.tau)
     cloud = _load_cloud(args)
     envelope = km_envelope(cloud, args.tau, args.K)
-    exact = fixed_tau_region(sweep(cloud, args.tau))
+    exact = tau_region(cloud, args.tau)
     comparison = compare_regions(exact, envelope)
     result = {
         "envelope": region_payload(envelope),
@@ -544,7 +545,7 @@ def _cmd_fig2(args):
     for ell in range(15):
         cloud = outlier_scenario(args.seed, ell)
         h = directional_quantile(cloud, tau_q, u0)
-        hull = fixed_tau_region(sweep(cloud, tau_hull))
+        hull = tau_region(cloud, tau_hull)
         outlier = cloud.points[-1]
         if hull.contains(outlier) != OUTSIDE:
             inside += 1

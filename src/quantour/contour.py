@@ -6,23 +6,31 @@ breakpoints the optimal fitted pair and side pattern are constant.  For a
 fixed pair and orientation the dual weights are ratios of homogeneous
 linear functions of u, so the set of directions where the basis stays
 dual-feasible is the intersection of half-circles: a single arc computed
-in closed form.  The sweep marches arc to arc with warm-started pivots,
-building every arc record in ``_record``, and the arcs must tile the
-circle exactly.  ``_enumerate_arcs``, which scans every point pair's arc,
-is kept as the tests' independent oracle.
+in closed form.  ``tau_region`` walks arc to arc in closed form: the
+dual bound that ends an arc names the point that leaves the basis, and
+the line turned about the point that stays meets the one that enters
+(``_walk_arcs``).  ``sweep`` still marches arc to arc with warm-started
+pivots (``_march_arcs``), kept only because its SweepResult reports the
+march's n_pivots.  Both build every arc record in ``_record`` from one
+cold solve at phi = 0, and the arcs must tile the circle exactly.
+``_enumerate_arcs``, which scans every point pair's arc, is kept as the
+tests' independent oracle.
 
-General position is guarded once, by the solver: every recorded basis
-comes from ``solve_qr``, whose certificate raises DegenerateDesign when a
-row off the basis lies on the fitted line.  The sweep re-raises it as
-DegenerateData with the same ``indices``, the pair and the rows on its
-line; no per-arc scan tests collinearity a second time.
+General position is guarded by the solver: every basis the march
+records comes from ``solve_qr``, whose certificate raises DegenerateDesign
+when a row off the basis lies on the fitted line.  The sweep re-raises it
+as DegenerateData with the same ``indices``, the pair and the rows on its
+line; no per-arc scan tests collinearity a second time.  The walk solves
+only at phi = 0, so it tests its own step: the two points its turning
+line would meet first must not lie on one line with the turning point.
 
 Once an arc is appended, the march ahead depends only on that arc.  So
 from _FORK_MIN_POINTS points on, the circle is cut at one seam angle per
 further allowed CPU, a cold solve at each seam gives the arc there, and
 the chunks between seams are marched side by side in forked children
 (quantour._fork), then joined at the seam arcs.  The arcs, n_pivots and
-any error are the serial march's, on any number of CPUs.
+any error are the serial march's, on any number of CPUs.  The walk runs
+in this process only.
 
 Each arc's representative hyperplane, taken at the arc midpoint, is
 rebuilt from its basis and certified (orientation, dual box, multiplier
@@ -41,7 +49,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _fork
-from .cloud import PointCloud
+from .cloud import GENERAL_POSITION_TOL, PointCloud
 from .errors import (
     ArcGap,
     DegenerateData,
@@ -130,10 +138,13 @@ def _complex_rows(z):
 def _arc_for_basis(z, tau, i, j, s):
     """Closed-form validity arc of basis (i, j) with orientation s.
 
-    Returns (lo, hi) with 0 < hi - lo <= pi, in an arbitrary 2 pi frame,
-    or None when the basis is never optimal with this orientation.  The
-    five constraints (orientation sign and the four dual bounds) are all
-    of the form q'u >= 0, so the arc is an intersection of half-circles.
+    Returns (lo, hi, row) with 0 < hi - lo <= pi, in an arbitrary 2 pi
+    frame, or None when the basis is never optimal with this orientation.
+    The five constraints (orientation sign and the four dual bounds) are
+    all of the form q'u >= 0, so the arc is an intersection of
+    half-circles.  row names the dual bound that sets hi, the first of
+    equals: 0 or 1 when i's dual leaves its box there, 2 or 3 when j's
+    does, None when only the orientation sign ends the arc.
     No point is checked against the pair's line here: each basis the
     march records comes from ``solve_qr``, whose certificate raises
     DegenerateDesign, with its rows, when a third point lies on the fitted
@@ -174,18 +185,21 @@ def _arc_for_basis(z, tau, i, j, s):
     nq = np.sqrt(np.vecdot(qs, qs))
     qscale = float(nq.max()) + vector_norm(npr)
     # a constraint whose q vanishes degenerates to an identity; skip it
-    qs = qs[nq > 1e-13 * qscale]
-    lo_rel, hi_rel = -0.5 * np.pi, 0.5 * np.pi
-    for angle in np.arctan2(qs[:, 1], qs[:, 0]).tolist():
+    kept = nq > 1e-13 * qscale
+    qs = qs[kept]
+    lo_rel, hi_rel, row = -0.5 * np.pi, 0.5 * np.pi, None
+    rows = [k for k, keep in enumerate(kept.tolist()) if keep]
+    for k, angle in zip(rows, np.arctan2(qs[:, 1], qs[:, 0]).tolist()):
         # constraint angle relative to ref, wrapped into (-pi, pi]
         dc = (angle - ref + np.pi) % TWO_PI - np.pi
         if dc == -np.pi:
             dc = np.pi
         lo_rel = max(lo_rel, dc - 0.5 * np.pi)
-        hi_rel = min(hi_rel, dc + 0.5 * np.pi)
+        if dc + 0.5 * np.pi < hi_rel:
+            hi_rel, row = dc + 0.5 * np.pi, k
     if hi_rel - lo_rel <= MIN_WIDTH:
         return None
-    return ref + lo_rel, ref + hi_rel
+    return ref + lo_rel, ref + hi_rel, row
 
 
 def _planar_frame(phi: float):
@@ -213,32 +227,53 @@ def sweep(cloud: PointCloud, tau: float) -> SweepResult:
     warm-started pivots: from _FORK_MIN_POINTS points on, in angular
     chunks over the allowed CPUs, with the serial march's arcs, n_pivots
     and errors.  Verifies that the arcs tile the circle and that no basis
-    repeats, raising ArcGap otherwise.
+    repeats, raising ArcGap otherwise.  The march stays only for n_pivots:
+    ``tau_region`` traces the same arcs without a solve past phi = 0.
     """
-    if cloud.k != 2:
-        raise DimensionMismatch("sweep expects a planar cloud")
-    if cloud.n < 3:
-        raise DimensionMismatch("sweep needs at least 3 points")
-    tau = validate_tau(tau, cloud.n)
+    tau = _sweep_tau(cloud, tau)
     raw, pivots = _march_arcs(cloud, tau)
     return SweepResult(tau, pivots, *_finalize(cloud.points, tau, raw))
 
 
-def _march_arcs(cloud: PointCloud, tau: float):
-    """Parametric traversal; returns ([(lo, hi, i, j, s)], pivots).
+def tau_region(cloud: PointCloud, tau: float) -> ConvexRegion2D:
+    """The tau-quantile region, traced by the rotating-line walk.
 
-    Probes build [1, z gamma] as ``regression._design`` does.  As |u_i|,
-    |gamma_i| <= 1, |z'u| and |z'gamma| are below 2 (1 + max|z|): only if
-    that overflows is each probe's design checked to be finite.
+    Validates as ``sweep`` does, certifies the walk's records through the
+    same ``_finalize`` and intersects their halfplanes as
+    ``fixed_tau_region`` does, so the region equals
+    ``fixed_tau_region(sweep(cloud, tau))`` byte for byte.  One solve, at
+    phi = 0, and one O(n) pass per arc; the walk also raises
+    DegenerateData, with three rows, where its turning line would meet two
+    points at once.
+    """
+    tau = _sweep_tau(cloud, tau)
+    columns = _finalize(cloud.points, tau, _walk_arcs(cloud, tau))
+    return intersect_halfplanes_2d(columns[4], method="lazy")  # SweepResult.halfplanes
 
-    From n = _FORK_MIN_POINTS on, the circle past the first arc is cut at
-    one seam per further allowed CPU.  Each chunk marches from its seam's
-    record to the next seam's, the first in this process and each other
-    in a forked child, and holds the serial march's records and pivots for
-    its stretch.  A chunk that never meets its next seam (a tie there)
-    marches on to the end of the circle, and the chunks after it are
-    dropped.  From a chunk that fails, or would take the probes to the
-    budget, this process marches the rest itself.
+
+def _sweep_tau(cloud: PointCloud, tau: float) -> float:
+    """tau, validated for a sweep of cloud, which must be planar with 3 or more points."""
+    if cloud.k != 2:
+        raise DimensionMismatch("sweep expects a planar cloud")
+    if cloud.n < 3:
+        raise DimensionMismatch("sweep needs at least 3 points")
+    return validate_tau(tau, cloud.n)
+
+
+def _orientation(z, i, j, u) -> int:
+    """The sign of perp(z_j - z_i)'u, with 0 counted as -1."""
+    return 1 if float(_perp(z[j] - z[i]) @ u) > 0.0 else -1
+
+
+def _cold_start(cloud: PointCloud, tau: float):
+    """The probe solver, its cold solve at phi = 0, and the first record.
+
+    Returns (solve_at, sol, (record, row)), where solve_at(phi, warm)
+    gives (solution, key) at angle phi and (record, row) is ``_record``'s
+    for the key at phi = 0.  Probes build [1, z gamma] as
+    ``regression._design`` does.  As |u_i|, |gamma_i| <= 1, |z'u| and
+    |z'gamma| are below 2 (1 + max|z|): only if that overflows is each
+    probe's design checked to be finite.
     """
     z = cloud.points
     n = z.shape[0]
@@ -256,10 +291,87 @@ def _march_arcs(cloud: PointCloud, tau: float):
                 f"degenerate cloud at sweep angle {phi:.9f}: {exc}", indices=exc.indices
             )
         i, j = sol.fitted
-        return sol, (i, j, 1 if float(_perp(z[j] - z[i]) @ u) > 0.0 else -1)
+        return sol, (i, j, _orientation(z, i, j, u))
 
     sol, key = solve_at(0.0, None)
-    first = _record(z, tau, key, 0.0)
+    return solve_at, sol, _record(z, tau, key, 0.0)
+
+
+def _walk_arcs(cloud: PointCloud, tau: float):
+    """Closed-form arc-to-arc walk; returns [(lo, hi, i, j, s)] as the march does.
+
+    From the march's first record, each step turns the pair's line about
+    the point that stays in the basis: the dual bound that sets the arc's
+    end names the point that leaves, and the point that enters is the
+    first one the line meets as it turns counterclockwise from the leaving
+    point, the least (arg(z_l - z_stay) - arg(z_leave - z_stay)) mod pi.
+    The next arc must start where the last one ends, within TILE_TOL, and
+    the walk closes the circle within n (n - 1) arcs, one per basis;
+    otherwise it raises ArcGap.  No solve is made past the first.
+
+    The runner-up candidate breaks a tie: when it is collinear with the
+    staying and the entering point, by ``collinear_triples``' test
+    |d_1 x d_2| <= GENERAL_POSITION_TOL max|z|^2, the walk raises
+    DegenerateData with the three rows.
+    """
+    z = cloud.points
+    n = z.shape[0]
+    zc = _complex_rows(z)
+    scale = float(np.abs(z).max())
+    area_tol = GENERAL_POSITION_TOL * scale * scale
+    _, _, (rec, row) = _cold_start(cloud, tau)
+    target = rec[0] + TWO_PI
+    records = [rec]
+    while rec[1] < target - TILE_TOL:
+        if len(records) == n * (n - 1):
+            raise ArcGap("sweep did not close the circle within n (n - 1) arcs")
+        _, hi, i, j, s = rec
+        if row is None:
+            raise ArcGap(f"basis ({i}, {j}) with orientation {s} ends at {hi:.9f} "
+                         "on its orientation bound")
+        leave, stay = (i, j) if row < 2 else (j, i)
+        d = zc - zc[stay]
+        # each point's angle from the leaving point's, as seen from stay,
+        # mod pi: the counterclockwise turn of the line that meets it
+        turn = np.angle(d * d[leave].conjugate())
+        turn += np.pi * (turn < 0.0)
+        turn[i] = turn[j] = np.inf
+        l1, l2 = np.argpartition(turn, 1)[:2].tolist()
+        if n > 3:  # else l2 is i or j
+            d1, d2 = complex(d[l1]), complex(d[l2])
+            if abs(d1.real * d2.imag - d1.imag * d2.real) <= area_tol:
+                raise DegenerateData(
+                    f"the sweep's line meets two points at once at angle {hi:.9f}",
+                    indices=sorted({stay, l1, l2}),
+                )
+        phi = hi + 1e-9
+        key = (min(stay, l1), max(stay, l1))
+        key += (_orientation(z, *key, np.array([np.cos(phi), np.sin(phi)])),)
+        rec, row = _record(z, tau, key, phi)
+        if abs(rec[0] - hi) > TILE_TOL:
+            raise ArcGap(f"basis ({key[0]}, {key[1]}) with orientation {key[2]} starts at "
+                         f"{rec[0]:.9f}, not where the arc before ends, {hi:.9f}")
+        records.append(rec)
+    if rec[1] > target + TILE_TOL:
+        raise ArcGap("final arc overshoots the starting boundary")
+    return records
+
+
+def _march_arcs(cloud: PointCloud, tau: float):
+    """Parametric traversal; returns ([(lo, hi, i, j, s)], pivots).
+
+    From n = _FORK_MIN_POINTS on, the circle past the first arc is cut at
+    one seam per further allowed CPU.  Each chunk marches from its seam's
+    record to the next seam's, the first in this process and each other
+    in a forked child, and holds the serial march's records and pivots for
+    its stretch.  A chunk that never meets its next seam (a tie there)
+    marches on to the end of the circle, and the chunks after it are
+    dropped.  From a chunk that fails, or would take the probes to the
+    budget, this process marches the rest itself.
+    """
+    z = cloud.points
+    n = z.shape[0]
+    solve_at, sol, (first, _) = _cold_start(cloud, tau)
     target = first[0] + TWO_PI
     budget = 16 * n * n + 256
 
@@ -299,19 +411,23 @@ def _seams(solve_at, z, tau, angles):
     for theta in angles:
         try:
             _sol, key = solve_at(theta, None)
-            seams.append(_record(z, tau, key, theta))
+            seams.append(_record(z, tau, key, theta)[0])
         except (QuantourError, np.linalg.LinAlgError):
             return []
     return seams
 
 
 def _record(z, tau, key, phi):
-    """Record (lo, hi, i, j, s) of basis key = (i, j, s), its arc shifted to contain phi."""
+    """Record (lo, hi, i, j, s) of basis key = (i, j, s), its arc shifted to contain phi.
+
+    Returns (record, row), row being ``_arc_for_basis``'s bound at hi.
+    """
     arc = _arc_for_basis(z, tau, *key)
     if arc is None:
         i, j, s = key
         raise ArcGap(f"basis ({i}, {j}) with orientation {s} has an empty arc at {phi:.9f}")
-    return (*_align(*arc, anchor=phi), *key)
+    lo, hi, row = arc
+    return (*_align(lo, hi, anchor=phi), *key), row
 
 
 def _march(solve_at, z, tau, start, target, stop, budget):
@@ -340,7 +456,7 @@ def _march(solve_at, z, tau, start, target, stop, budget):
             if advance > 0.5:
                 raise ArcGap(f"sweep stalled near angle {cursor:.9f}")
             continue
-        rec = _record(z, tau, key, phi)
+        rec, _ = _record(z, tau, key, phi)
         if rec[0] > cursor + TILE_TOL:
             # a thinner arc hides between cursor and this one: bisect into the gap
             advance = max(0.5 * (rec[0] - cursor), MIN_ADVANCE)
@@ -366,7 +482,7 @@ def _enumerate_arcs(z, tau):
                 arc = _arc_for_basis(z, tau, i, j, s)
                 if arc is None:
                     continue
-                lo, hi = arc
+                lo, hi, _ = arc
                 start = float(np.remainder(lo, TWO_PI))
                 records.append((start, start + (hi - lo), i, j, s))
     records.sort(key=lambda rec: rec[0])

@@ -268,6 +268,35 @@ def test_criterion_7_performance():
     assert t_grid < 5.0
 
 
+def test_criterion_7_km_traces_its_region_with_one_solve(tmp_path, monkeypatch):
+    # a deterministic work count next to the wall-clock gates above: km's
+    # exact region is walked from one cold solve, and it is contour's region
+    import json
+
+    import quantour.contour as contour_module
+    from quantour.cli import main
+
+    solve = contour_module.solve_qr
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(contour_module, "solve_qr", counted)
+    src = tmp_path / "cloud.csv"
+    z = make_cloud(703, 40).points
+    src.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in z.tolist()))
+    km_out, contour_out = tmp_path / "km.json", tmp_path / "contour.json"
+    args = ["-i", str(src), "--tau", "0.178", "--no-jitter"]
+    assert main(["km", *args, "--K", "41", "-o", str(km_out)]) == 0
+    assert len(calls) == 1
+    assert main(["contour", *args, "-o", str(contour_out)]) == 0
+    exact = json.loads(km_out.read_text())["result"]["exact"]
+    assert exact == json.loads(contour_out.read_text())["result"]["region"]
+    assert exact["status"] == BOUNDED
+
+
 def test_criterion_8_degeneracy_and_jitter(tmp_path):
     from quantour.cli import main
 

@@ -4,6 +4,7 @@ import hashlib
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -30,6 +31,7 @@ from quantour import (
     km_envelope,
     probability_contents,
     sweep,
+    tau_region,
 )
 from quantour.contour import MIN_WIDTH, SweepResult, _perp
 from quantour.directional import QuantileHyperplane
@@ -81,6 +83,13 @@ def assert_same_arcs(a, b):
     assert len(a.arcs) == len(b.arcs)
     assert np.abs(a.arcs - b.arcs).max() <= 1e-9
     assert np.array_equal(np.sort(a.fitted, axis=1), np.sort(b.fitted, axis=1))
+
+
+def assert_same_region(got, want):
+    """Equal status, and vertices and facets equal byte for byte."""
+    assert got.status == want.status
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.halfplanes.tobytes() == want.halfplanes.tobytes()
 
 
 def test_hexagon_arc_structure(hexagon):
@@ -195,6 +204,9 @@ def test_parametric_matches_enumeration():
         enu = enumerated(cloud, tau)
         assert_same_arcs(par, enu)
         assert_tiling(par)
+        walk = table(cloud.points, tau, contour_module._walk_arcs(cloud, tau))
+        assert_same_arcs(walk, enu)
+        assert np.array_equal(walk.orientation, enu.orientation)
 
 
 def test_region_matches_depth_oracle():
@@ -367,13 +379,16 @@ def test_arc_and_pivot_economy():
 
 
 def test_sweep_input_validation(collinear5):
-    with pytest.raises(DegenerateData):
-        sweep(PointCloud(collinear5), 0.305)
     cloud = make_cloud(78, 10)
-    with pytest.raises(DegenerateTau):
-        sweep(cloud, 0.3)
-    with pytest.raises(DimensionMismatch):
-        sweep(PointCloud(np.eye(3)), 0.305)
+    for trace in (sweep, tau_region):
+        with pytest.raises(DegenerateData):
+            trace(PointCloud(collinear5), 0.305)
+        with pytest.raises(DegenerateTau):
+            trace(cloud, 0.3)
+        with pytest.raises(DimensionMismatch):
+            trace(PointCloud(np.eye(3)), 0.305)
+        with pytest.raises(DimensionMismatch):
+            trace(PointCloud(np.eye(2)), 0.305)
 
 
 def planted_cloud(seed, rel):
@@ -386,21 +401,31 @@ def planted_cloud(seed, rel):
 
 
 def test_a_planted_collinear_triple_is_named_by_the_solver():
-    # the solver's certificate is the sweep's one collinearity guard: each
-    # sweep certifies or raises, and a degeneracy names the planted rows
+    # the solver's certificate is the march's one collinearity guard, the
+    # tie test the walk's: each certifies or raises, a degeneracy names the
+    # planted rows, and the walk never leaves a gap
     taus = (0.101, 0.178, 0.305)
-    named = 0
+    named = Counter()
     for seed in range(60):
         for rel in (0.0, 1e-13, 1e-11):
-            try:
-                sweep(planted_cloud(seed, rel), taus[seed % 3])
-            except DegenerateData as exc:
-                assert set(exc.indices) == {0, 1, 2}, str(exc)
-                assert f"(rows {list(exc.indices)})" in str(exc)
-                named += 1
-            except QuantourError:
-                pass
-    assert named > 0
+            cloud, tau = planted_cloud(seed, rel), taus[seed % 3]
+            regions = {}
+            for name, trace in (("sweep", lambda: fixed_tau_region(sweep(cloud, tau))),
+                                ("walk", lambda: tau_region(cloud, tau))):
+                try:
+                    regions[name] = trace()
+                except DegenerateData as exc:
+                    assert set(exc.indices) == {0, 1, 2}, str(exc)
+                    assert f"(rows {list(exc.indices)})" in str(exc)
+                    named[name] += 1
+                except ArcGap as exc:
+                    assert name != "walk", f"seed {seed}, rel {rel}: {exc}"
+                except QuantourError:
+                    pass
+            if "sweep" in regions:
+                assert "walk" in regions, f"seed {seed}, rel {rel}"
+                assert_same_region(regions["walk"], regions["sweep"])
+    assert named["sweep"] > 0 and named["walk"] > 0
 
 
 def test_sweep_determinism():
@@ -628,6 +653,25 @@ def test_block_certification_matches_per_arc_loop(n, scale, tau, seed):
         assert_matches_reference(cloud, enumerated(cloud, tau))
 
 
+def assert_walk_is_the_march(cloud, tau):
+    assert contour_module._walk_arcs(cloud, tau) == contour_module._march_arcs(cloud, tau)[0]
+
+
+def test_walk_matches_the_march(hexagon, triangle):
+    # every record, bounds and key, equal under ==
+    assert_walk_is_the_march(hexagon, 0.25)
+    assert_walk_is_the_march(triangle, 0.3)
+    for n, scale, tau, seed in SWEEP_CASES:
+        assert_walk_is_the_march(make_cloud(seed, n, scale=scale), tau)
+
+
+@settings(max_examples=25, deadline=None)
+@given(no_three_in_line())
+def test_walk_matches_the_march_with_no_three_in_line(case):
+    z, tau = case
+    assert_walk_is_the_march(PointCloud(z), tau)
+
+
 def test_block_certification_matches_on_hexagon_and_small_blocks(hexagon, monkeypatch):
     for result in (sweep(hexagon, 0.25), enumerated(hexagon, 0.25)):
         assert_matches_reference(hexagon, result)
@@ -745,7 +789,10 @@ def test_arc_for_basis_matches_reference():
             s = int(rng.choice([1, -1]))
             tau = float(rng.uniform(0.02, 0.98))
             got = contour_module._arc_for_basis(z, tau, i, j, s)
-            assert got == reference_arc_for_basis(z, tau, i, j, s)
+            want = reference_arc_for_basis(z, tau, i, j, s)
+            # (lo, hi) as the reference gives them, then the bound that sets hi
+            assert (None if got is None else got[:2]) == want
+            assert got is None or got[2] in (None, 0, 1, 2, 3)
 
 
 # ------------------------------------------- the former probe path, verbatim
@@ -781,7 +828,7 @@ def reference_march_arcs(cloud, tau, scale, solve):
     arc = contour_module._arc_for_basis(z, tau, *key)
     if arc is None:
         raise ArcGap("initial basis has an empty validity arc")
-    lo0, hi0 = contour_module._align(*arc, anchor=0.0)
+    lo0, hi0 = contour_module._align(*arc[:2], anchor=0.0)
     records = [(lo0, hi0, *key)]
     cursor = hi0
     target = lo0 + TWO_PI
@@ -804,7 +851,7 @@ def reference_march_arcs(cloud, tau, scale, solve):
         arc = contour_module._arc_for_basis(z, tau, *key)
         if arc is None:
             raise ArcGap(f"optimal basis at angle {phi:.9f} reports an empty arc")
-        lo, hi = contour_module._align(*arc, anchor=phi)
+        lo, hi = contour_module._align(*arc[:2], anchor=phi)
         if lo > cursor + contour_module.TILE_TOL:
             # a thinner arc hides between cursor and lo: bisect into the gap
             advance = max(0.5 * (lo - cursor), contour_module.MIN_ADVANCE)
