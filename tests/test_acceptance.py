@@ -297,6 +297,31 @@ def test_criterion_7_km_traces_its_region_with_one_solve(tmp_path, monkeypatch):
     assert exact["status"] == BOUNDED
 
 
+def test_criterion_7_general_position_check_screens_every_anchor(monkeypatch):
+    # a deterministic work count next to the wall-clock gates above: on a
+    # Gaussian cloud the batched screen clears every anchor, so no
+    # per-anchor scan runs (a scan per anchor made 38 calls here)
+    import quantour.cloud as cloud_module
+
+    scan = cloud_module._anchor_hits
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(cloud_module, "_anchor_hits", counted)
+    z = make_cloud(704, 40).points.copy()
+    PointCloud(z).require_general_position()
+    assert calls == []
+    # a planted collinear triple is still found, by the scan, with its rows
+    z[[7, 19, 33]] = z[7], z[19], 0.25 * z[7] + 0.75 * z[19]
+    with pytest.raises(DegenerateData) as err:
+        PointCloud(z).require_general_position()
+    assert list(err.value.indices) == [7, 19, 33]
+    assert calls
+
+
 def test_criterion_8_degeneracy_and_jitter(tmp_path):
     from quantour.cli import main
 

@@ -185,6 +185,49 @@ def test_scan_covers_every_row_above_5000():
     assert PointCloud(z).collinear_triples(limit=10**9) == [(10, 2000, 4000)]
 
 
+def screen_cases(rng, count):
+    """Clouds with n = 3..69: Gaussian, planted triples at offsets 0 to 1e-9,
+    integer grids, duplicates, scales 2**-60 and 2**60, a shift by 1e4."""
+    for case in range(count):
+        n = int(rng.integers(3, 70))
+        z = rng.standard_normal((n, 2))
+        kind = case % 6
+        if kind == 1:
+            i, j, l = rng.choice(n, size=3, replace=False)
+            offset = rng.choice([0.0, 1e-15, 1e-13, 1e-11, 1e-9])
+            z[l] = z[i] + rng.uniform(-2.0, 3.0) * (z[j] - z[i]) + offset * rng.standard_normal(2)
+        elif kind == 2:
+            z = rng.integers(-4, 5, size=(n, 2)).astype(float)
+        elif kind == 3:
+            z[rng.integers(n)] = z[rng.integers(n)]
+        elif kind == 4:
+            z *= 2.0 ** rng.choice([-60, 60])
+        elif kind == 5:
+            z += 1e4
+        yield z, float(rng.choice([1e-12, 1e-9, 1e-6])), int(rng.choice([1, 4, 32]))
+
+
+@pytest.mark.parametrize("block", [cloud_module._SCREEN_BLOCK_ELEMENTS, 37])
+def test_screen_keeps_the_unscreened_triples(monkeypatch, block):
+    # the screen only skips anchors that the per-anchor scan would find
+    # nothing for: with it and with every anchor scanned, the same triples,
+    # order and limit
+    monkeypatch.setattr(cloud_module, "_SCREEN_BLOCK_ELEMENTS", block)
+    screen = cloud_module._cleared_anchors
+    cleared, with_triples = 0, 0
+    for z, tol, limit in screen_cases(RNG(90), 1200):
+        cloud = PointCloud(z)
+        got = cloud.collinear_triples(tol=tol, limit=limit)
+        with monkeypatch.context() as unscreened:
+            unscreened.setattr(cloud_module, "_cleared_anchors",
+                               lambda pts, lo, hi, area_tol: np.zeros(hi - lo, dtype=bool))
+            assert got == cloud.collinear_triples(tol=tol, limit=limit), (z, tol, limit)
+        scale = float(np.abs(z).max())
+        cleared += int(screen(z, 0, len(z) - 2, tol * scale * scale).sum())
+        with_triples += bool(got)
+    assert cleared > 10_000 and 400 < with_triples < 1000
+
+
 def test_jitter_is_seeded():
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.1]]))
     a = jitter(cloud, seed=1)

@@ -18,13 +18,19 @@ from quantour import (
     DimensionMismatch,
     Direction,
     NotBounded,
+    RegressionProblem,
     depth_region_bruteforce_2d,
     fixed_tau_region,
+    fixed_x_cut,
     hausdorff_distance,
     intersect_halfplanes_2d,
+    km_envelope,
     orthocomplement_basis,
     polygon_area,
+    regression_quantile,
+    response_direction_grid,
     sweep,
+    tau_region,
 )
 from quantour import geometry as geometry_module
 from quantour.depth import _pair_halfplanes
@@ -363,7 +369,114 @@ def test_clip_matches_roll_reference():
         want = reference_clip(V, b, a, eps)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
         seen.add("none" if got.shape[0] == 0 else "all" if got is V else "cut")
-    assert seen == {"none", "all", "cut"}
+        seen |= clip_branches(V, b, a, eps)
+    # rings with prescribed residuals: one or two vertices, and vertices
+    # within eps of the line, on either side of -eps
+    for trial in range(3000):
+        m = int(rng.integers(1, 3)) if trial % 3 == 0 else int(rng.integers(3, 12))
+        eps = float(rng.choice([1e-11, 1e-3]))
+        levels = np.array([-1.0, -2.0 * eps, -eps, -0.5 * eps, 0.0, 0.5 * eps, 1.0])
+        r = rng.choice(levels, m) * (1.0 + 0.1 * rng.random(m))
+        b = rng.standard_normal(2)
+        a = float(rng.standard_normal())
+        along = np.sort(rng.uniform(-1.0, 1.0, m))
+        V = ((a + r)[:, None] * b + along[:, None] * np.array([-b[1], b[0]])) / (b @ b)
+        got = geometry_module._clip(V, b, a, eps)
+        want = reference_clip(V, b, a, eps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
+        assert (got is V) == (want is V)
+        seen |= clip_branches(V, b, a, eps)
+    assert seen == {"none", "all", "cut", "empty", "m=1", "m=2", "wraps 0", "no wrap",
+                    "closing edge", "more than two crossings"}
+
+
+def clip_branches(V, b, a, eps):
+    """The cases of a clip, read off the residuals as the reference forms them."""
+    m = V.shape[0]
+    if m == 0:
+        return {"empty"}
+    keep = V @ b - a >= -eps
+    crossing = keep != np.roll(keep, -1)
+    seen = {f"m={m}"} if m <= 2 else set()
+    if keep.all() or not keep.any():
+        return seen
+    seen.add("wraps 0" if keep[0] and keep[-1] else "no wrap")
+    if crossing[-1]:
+        seen.add("closing edge")
+    if crossing.sum() > 2:
+        seen.add("more than two crossings")
+    return seen
+
+
+def every_intersection(cloud, tau, models):
+    """Each caller's region: K-grid envelopes, a regression cut, depth and tau regions."""
+    regions = [km_envelope(cloud, tau, K) for K in (3, 31, 201, 2001)]
+    regions.append(fixed_x_cut(models, np.array([0.5])))
+    regions.append(depth_region_bruteforce_2d(cloud, tau))
+    regions.append(tau_region(cloud, tau))
+    return regions
+
+
+def test_intersections_keep_their_bytes_with_the_reference_clip(monkeypatch):
+    tau = 0.2013
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return reference_clip(*args)
+
+    for seed, n in ((11, 6), (12, 9), (13, 14), (14, 23), (15, 37), (16, 60), (17, 400)):
+        cloud = make_cloud(seed, n)
+        X = RNG(seed).uniform(0.0, 1.0, (n, 1))
+        models = [regression_quantile(RegressionProblem(X, cloud.points, tau, d))
+                  for d in response_direction_grid(90)]
+        got = every_intersection(cloud, tau, models)
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry_module, "_clip", counted)
+            want = every_intersection(cloud, tau, models)
+        for g, w in zip(got, want):
+            assert g.status == w.status, (seed, n)
+            assert g.vertices.tobytes() == w.vertices.tobytes(), (seed, n)
+            assert g.halfplanes.tobytes() == w.halfplanes.tobytes(), (seed, n)
+    assert calls
+
+
+def test_polish_vertices_solve_their_two_facets(monkeypatch):
+    # each reported vertex is np.linalg.solve of its two consecutive facet
+    # rows, bit for bit, or a vertex of the clipped polygon where the two
+    # facets are within 1e-9 of parallel
+    polish = geometry_module._polish
+    polished = []
+
+    def recorded(V, B, A):
+        region = polish(V, B, A)
+        polished.append((V, region))
+        return region
+
+    monkeypatch.setattr(geometry_module, "_polish", recorded)
+    tau = 0.2013
+    for seed, n in ((21, 8), (22, 20), (23, 45), (24, 60)):
+        cloud = make_cloud(seed, n)
+        fixed_tau_region(sweep(cloud, tau))  # sweep rows
+        depth_region_bruteforce_2d(cloud, tau)  # brute-force depth rows
+        km_envelope(cloud, tau, 201)  # K-grid rows
+    # a box whose bottom side carries two facets 1e-11 rad apart
+    intersect_halfplanes_2d([[0.0, 1.0, 0.0], [-1e-11, 1.0, 0.0], [-1.0, 0.0, -1.0],
+                             [1.0, 0.0, -1.0], [0.0, -1.0, -1.0]])
+    seen = set()
+    for V, region in polished:
+        assert region.status == BOUNDED
+        H = region.halfplanes
+        for i, vertex in enumerate(region.vertices):
+            M = H[[i, (i + 1) % len(H)], :2]
+            if abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) < 1e-9:
+                assert any(vertex.tobytes() == v.tobytes() for v in V)
+                seen.add("parallel")
+            else:
+                rhs = H[[i, (i + 1) % len(H)], 2]
+                assert vertex.tobytes() == np.linalg.solve(M, rhs).tobytes()
+                seen.add("solved")
+    assert len(polished) == 13 and seen == {"solved", "parallel"}
 
 
 def reference_dedupe_directions(B, A):
