@@ -398,7 +398,11 @@ def _cmd_depth(args):
     x = None if args.x is None else _parse_vector(args.x, 2)
     if x is None and args.tau is None:
         raise ValueError("depth needs --x for a point or --tau for a region")
-    cloud = _load_cloud(args)
+    # depth_2d counts duplicates and collinear points itself, so the point
+    # depth is taken on the cloud as read; the brute-force region bounds
+    # itself by lines through point pairs, which a collinear cloud does
+    # not supply, so the region is taken on the healed cloud
+    cloud = _read_cloud(args)
     result = {}
     rows = [["field", "value"]]
     region = None
@@ -407,7 +411,7 @@ def _cmd_depth(args):
         result["depth"] = {"count": d.count, "n": d.n, "normalized": d.normalized}
         rows += [["count", d.count], ["n", d.n], ["normalized", repr(d.normalized)]]
     if args.tau is not None:
-        region = depth_region_bruteforce_2d(cloud, args.tau)
+        region = depth_region_bruteforce_2d(_heal_cloud(args, cloud), args.tau)
         result["region"] = region_payload(region)
         rows.append(["region_status", region.status])
     payload = {"meta": _meta(args, cloud), "result": result}

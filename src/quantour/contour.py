@@ -44,6 +44,7 @@ one table, SweepResult, with a row per arc.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,10 +66,13 @@ from .geometry import (
     intersect_halfplanes_2d,
     vector_norm,
 )
-from .qr import check_loss, solve_qr, validate_tau
+from .qr import solve_qr, validate_tau
 from .regression import _reduced_problem
 
 TWO_PI = 2.0 * np.pi
+# the arc formula's constants as plain names, the same floats
+_PI = np.pi
+_HALF_PI = 0.5 * np.pi
 # endpoint slack allowed when checking that arcs tile the circle
 TILE_TOL = 1e-9
 # minimum angular advance past an arc end before re-probing
@@ -135,7 +139,7 @@ def _complex_rows(z):
     return np.ascontiguousarray(z).view(np.complex128)[:, 0]
 
 
-def _arc_for_basis(z, tau, i, j, s):
+def _arc_for_basis(z, tau, i, j, s, rows=None, d=None):
     """Closed-form validity arc of basis (i, j) with orientation s.
 
     Returns (lo, hi, row) with 0 < hi - lo <= pi, in an arbitrary 2 pi
@@ -150,21 +154,38 @@ def _arc_for_basis(z, tau, i, j, s):
     DegenerateDesign, with its rows, when a third point lies on the fitted
     line.
 
-    The four dual-bound vectors are formed in Python floats, term for term
-    as the array formulas would, but their norms and angles stay numpy
-    calls: numpy's dot of two 2-vectors uses a fused multiply-add, and
-    np.arctan2 does not always round like math.atan2.
+    rows, when given, is (``_complex_rows(z)``, ``z.tolist()``), which the
+    walk forms once; d, when given, is ``_complex_rows(z)`` minus its row
+    i, which the walk has formed for its step.  Either gives the same bits
+    as forming it here.  The pair's normal, the four dual-bound vectors and
+    the arc's ends are formed in Python floats, term for term as the array
+    formulas would, and so are the same IEEE operations.  What stays a
+    numpy call is what numpy may round differently: the products with the
+    cloud (a gemv), the pairwise sum of psi, the norms (numpy's dot of two
+    2-vectors uses a fused multiply-add) and the angles (np.arctan2 does
+    not always round like math.atan2; one call over the four bound vectors
+    and the reference vector gives each the bits of a call of its own).
     """
-    npr = _perp(z[j] - z[i])
-    zc = _complex_rows(z)
+    if rows is None:
+        zc = _complex_rows(z)
+        (zi0, zi1), (zj0, zj1) = z[i].tolist(), z[j].tolist()
+    else:
+        zc, zl = rows
+        (zi0, zi1), (zj0, zj1) = zl[i], zl[j]
+    # _perp(z[j] - z[i])
+    n0, n1 = -(zj1 - zi1), zj0 - zi0
+    npr = np.array((n0, n1))
+    if d is None:
+        d = zc - zc[i]
     # (z - z[i]) @ npr
-    proj = (zc - zc[i]).view(np.float64).reshape(-1, 2) @ npr
-    psi = np.where(proj > 0 if s > 0 else proj < 0, tau, tau - 1.0)
+    proj = d.view(np.float64).reshape(-1, 2) @ npr
+    # psi = tau on s's strict side, else (NaN too) tau - 1: tau - True is tau - 1.0
+    off = proj > 0 if s > 0 else proj < 0
+    np.logical_not(off, out=off)
+    psi = tau - off
     psi[i] = psi[j] = 0.0
-    s0 = float(psi.sum())
+    s0 = float(np.add.reduce(psi))
     s10, s11 = (psi @ z).tolist()
-    (zi0, zi1), (zj0, zj1) = z[i].tolist(), z[j].tolist()
-    n0, n1 = npr.tolist()
     # a_i = s1 - s0 z_j and a_j = s0 z_i - s1, each rotated by +90 degrees
     ai0, ai1 = s10 - s0 * zj0, s11 - s0 * zj1
     aj0, aj1 = s0 * zi0 - s10, s0 * zi1 - s11
@@ -172,31 +193,33 @@ def _arc_for_basis(z, tau, i, j, s):
     # the dual bounds tau * npr (upper) and (tau - 1) * npr (lower)
     up0, up1 = tau * n0, tau * n1
     lo0, lo1 = (tau - 1.0) * n0, (tau - 1.0) * n1
-    qs = np.array(
-        [
-            [s * (up0 - ri0), s * (up1 - ri1)],
-            [s * (ri0 - lo0), s * (ri1 - lo1)],
-            [s * (up0 - rj0), s * (up1 - rj1)],
-            [s * (rj0 - lo0), s * (rj1 - lo1)],
-        ]
-    )
-    ref = float(np.arctan2(s * n1, s * n0))
-    # row norms equal float(np.linalg.norm(q)) bit for bit
-    nq = np.sqrt(np.vecdot(qs, qs))
-    qscale = float(nq.max()) + vector_norm(npr)
+    # the four bound vectors q, then the reference vector s npr, as rows
+    qs = np.array((
+        s * (up0 - ri0), s * (up1 - ri1),
+        s * (ri0 - lo0), s * (ri1 - lo1),
+        s * (up0 - rj0), s * (up1 - rj1),
+        s * (rj0 - lo0), s * (rj1 - lo1),
+        s * n0, s * n1,
+    )).reshape(5, 2)
+    *angles, ref = np.arctan2(qs[:, 1], qs[:, 0]).tolist()
+    # the bounds' norms, each equal to float(np.linalg.norm(q)) bit for bit
+    q4 = qs[:4]
+    nq = [math.sqrt(sq) for sq in np.vecdot(q4, q4).tolist()]
+    top = nq[0] + nq[1] + nq[2] + nq[3]  # NaN when any norm is, as nq.max()
+    qscale = (max(nq) if top == top else top) + vector_norm(npr)
     # a constraint whose q vanishes degenerates to an identity; skip it
-    kept = nq > 1e-13 * qscale
-    qs = qs[kept]
-    lo_rel, hi_rel, row = -0.5 * np.pi, 0.5 * np.pi, None
-    rows = [k for k, keep in enumerate(kept.tolist()) if keep]
-    for k, angle in zip(rows, np.arctan2(qs[:, 1], qs[:, 0]).tolist()):
+    cut = 1e-13 * qscale
+    lo_rel, hi_rel, row = -_HALF_PI, _HALF_PI, None
+    for k in range(4):
+        if not nq[k] > cut:
+            continue
         # constraint angle relative to ref, wrapped into (-pi, pi]
-        dc = (angle - ref + np.pi) % TWO_PI - np.pi
-        if dc == -np.pi:
-            dc = np.pi
-        lo_rel = max(lo_rel, dc - 0.5 * np.pi)
-        if dc + 0.5 * np.pi < hi_rel:
-            hi_rel, row = dc + 0.5 * np.pi, k
+        dc = (angles[k] - ref + _PI) % TWO_PI - _PI
+        if dc == -_PI:
+            dc = _PI
+        lo_rel = max(lo_rel, dc - _HALF_PI)
+        if dc + _HALF_PI < hi_rel:
+            hi_rel, row = dc + _HALF_PI, k
     if hi_rel - lo_rel <= MIN_WIDTH:
         return None
     return ref + lo_rel, ref + hi_rel, row
@@ -216,7 +239,8 @@ def _planar_frame(phi: float):
 def _align(lo: float, hi: float, anchor: float):
     """Shift (lo, hi) by a multiple of 2 pi so the arc contains anchor."""
     mid = 0.5 * (lo + hi)
-    k = np.round((anchor - mid) / TWO_PI)
+    # round() is round-half-even, as np.round is; the ends are finite
+    k = round((anchor - mid) / TWO_PI)
     return lo + k * TWO_PI, hi + k * TWO_PI
 
 
@@ -245,6 +269,15 @@ def tau_region(cloud: PointCloud, tau: float) -> ConvexRegion2D:
     phi = 0, and one O(n) pass per arc; the walk also raises
     DegenerateData, with three rows, where its turning line would meet two
     points at once.
+
+    Each step picks the entering point by a division key, the cotangent of
+    the turn, where an arctan2 and a partition were used before; the key
+    is read off the same product, and where it cannot tell the turns apart
+    as the partition does (a zero or non-finite cross product, turns within
+    rounding of a tie) the step orders by the turn itself
+    (``_entering``).  The arc formula runs on Python floats wherever numpy
+    would perform the same IEEE operations.  So every decision, record,
+    exception and output bit is the one the former per-step formulas gave.
     """
     tau = _sweep_tau(cloud, tau)
     columns = _finalize(cloud.points, tau, _walk_arcs(cloud, tau))
@@ -260,9 +293,9 @@ def _sweep_tau(cloud: PointCloud, tau: float) -> float:
     return validate_tau(tau, cloud.n)
 
 
-def _orientation(z, i, j, u) -> int:
-    """The sign of perp(z_j - z_i)'u, with 0 counted as -1."""
-    return 1 if float(_perp(z[j] - z[i]) @ u) > 0.0 else -1
+def _orientation(npr, u) -> int:
+    """The sign of npr'u, npr = perp(z_j - z_i) for the pair (i, j), with 0 counted as -1."""
+    return 1 if float(npr @ u) > 0.0 else -1
 
 
 def _cold_start(cloud: PointCloud, tau: float):
@@ -291,7 +324,7 @@ def _cold_start(cloud: PointCloud, tau: float):
                 f"degenerate cloud at sweep angle {phi:.9f}: {exc}", indices=exc.indices
             )
         i, j = sol.fitted
-        return sol, (i, j, _orientation(z, i, j, u))
+        return sol, (i, j, _orientation(_perp(z[j] - z[i]), u))
 
     sol, key = solve_at(0.0, None)
     return solve_at, sol, _record(z, tau, key, 0.0)
@@ -304,19 +337,26 @@ def _walk_arcs(cloud: PointCloud, tau: float):
     the point that stays in the basis: the dual bound that sets the arc's
     end names the point that leaves, and the point that enters is the
     first one the line meets as it turns counterclockwise from the leaving
-    point, the least (arg(z_l - z_stay) - arg(z_leave - z_stay)) mod pi.
-    The next arc must start where the last one ends, within TILE_TOL, and
-    the walk closes the circle within n (n - 1) arcs, one per basis;
-    otherwise it raises ArcGap.  No solve is made past the first.
+    point (``_entering``).  The next arc must start where the last one
+    ends, within TILE_TOL, and the walk closes the circle within n (n - 1)
+    arcs, one per basis; otherwise it raises ArcGap.  No solve is made past
+    the first.
 
     The runner-up candidate breaks a tie: when it is collinear with the
     staying and the entering point, by ``collinear_triples``' test
     |d_1 x d_2| <= GENERAL_POSITION_TOL max|z|^2, the walk raises
     DegenerateData with the three rows.
+
+    The complex rows and ``z.tolist()`` are formed once, and a step's
+    z - z_stay serves the arc formula when the staying point is the new
+    pair's first row.  Every decision and every bit is the one the
+    per-step formulas give: the differences, cross products and normals
+    taken from the lists are the same IEEE operations as the array ones,
+    and the orientation's dot stays a numpy call.
     """
     z = cloud.points
     n = z.shape[0]
-    zc = _complex_rows(z)
+    rows = zc, zl = _complex_rows(z), z.tolist()
     scale = float(np.abs(z).max())
     area_tol = GENERAL_POSITION_TOL * scale * scale
     _, _, (rec, row) = _cold_start(cloud, tau)
@@ -330,24 +370,27 @@ def _walk_arcs(cloud: PointCloud, tau: float):
             raise ArcGap(f"basis ({i}, {j}) with orientation {s} ends at {hi:.9f} "
                          "on its orientation bound")
         leave, stay = (i, j) if row < 2 else (j, i)
-        d = zc - zc[stay]
-        # each point's angle from the leaving point's, as seen from stay,
-        # mod pi: the counterclockwise turn of the line that meets it
-        turn = np.angle(d * d[leave].conjugate())
-        turn += np.pi * (turn < 0.0)
-        turn[i] = turn[j] = np.inf
-        l1, l2 = np.argpartition(turn, 1)[:2].tolist()
+        (x0, y0), (xl, yl) = zl[stay], zl[leave]
+        # d = z - z_stay, and d * conj(d[leave])
+        d = zc - complex(x0, y0)
+        l1, l2 = _entering(d * complex(xl - x0, -(yl - y0)), i, j)
+        x1, y1 = zl[l1]
         if n > 3:  # else l2 is i or j
-            d1, d2 = complex(d[l1]), complex(d[l2])
-            if abs(d1.real * d2.imag - d1.imag * d2.real) <= area_tol:
+            x2, y2 = zl[l2]
+            # d[l1] x d[l2]
+            if abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) <= area_tol:
                 raise DegenerateData(
                     f"the sweep's line meets two points at once at angle {hi:.9f}",
                     indices=sorted({stay, l1, l2}),
                 )
         phi = hi + 1e-9
-        key = (min(stay, l1), max(stay, l1))
-        key += (_orientation(z, *key, np.array([np.cos(phi), np.sin(phi)])),)
-        rec, row = _record(z, tau, key, phi)
+        # the new pair a < b, and _perp(z[b] - z[a])
+        if stay < l1:
+            a, b, npr = stay, l1, (-(y1 - y0), x1 - x0)
+        else:
+            a, b, npr = l1, stay, (-(y0 - y1), x0 - x1)
+        key = (a, b, _orientation(np.array(npr), np.array([np.cos(phi), np.sin(phi)])))
+        rec, row = _record(z, tau, key, phi, rows, d if a == stay else None)
         if abs(rec[0] - hi) > TILE_TOL:
             raise ArcGap(f"basis ({key[0]}, {key[1]}) with orientation {key[2]} starts at "
                          f"{rec[0]:.9f}, not where the arc before ends, {hi:.9f}")
@@ -355,6 +398,67 @@ def _walk_arcs(cloud: PointCloud, tau: float):
     if rec[1] > target + TILE_TOL:
         raise ArcGap("final arc overshoots the starting boundary")
     return records
+
+
+# ranks the pair's own rows below every candidate of a regular step
+_LAST = -np.finfo(np.float64).max
+# least gap between the first three turns, in radians, for which the turns'
+# order is read off their cotangents: far above the rounding of atan2 and
+# of the fold, a few ulp of pi (about 1e-15)
+_TURN_SLACK = 1e-13
+
+
+def _entering(p, i, j):
+    """The first and second row that the walk's turning line meets.
+
+    p holds (z_l - z_stay) conj(z_leave - z_stay) for every row l, and (i, j)
+    is the pair.  The line turns counterclockwise about z_stay from z_leave
+    and meets row l after the turn arg(p_l) mod pi: atan2(Im, Re), folded
+    into [0, pi] by adding pi to a negative angle, and the first two rows
+    are the partition's two least turns.  The turn's cotangent Re/Im
+    decreases on (0, pi), so a step takes them as the two largest Re/Im
+    instead: one division and a few reductions, against an arctan2, a
+    fold and a partition.
+
+    Both orders are read off the same bits of p, so they can part ways only
+    where Re/Im is not a finite number, or between turns that rounding can
+    reorder or tie; there the step orders by the turn itself, with its ties
+    broken as the partition breaks them.  That is:
+
+    - Im = +0 or -0 (a row on the pair's line), Re = Im = 0 (a duplicate of
+      the staying point), or an infinite or NaN product: atan2 gives the
+      turn 0 or pi by the signs of the zeros, where Re/Im is an infinity or
+      NaN (and a division can overflow).  So every candidate's Re/Im must be
+      finite, and the first above _LAST: argmax returns a NaN first, and
+      one argmin finds a -inf.
+    - The first three turns must lie more than _TURN_SLACK apart, so that
+      the partition's two least are the same rows in the same order.
+
+    The division's warnings are silenced here, where they are expected.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cot = p.real / p.imag
+    cot[i] = cot[j] = _LAST
+    # argmax and argmin, then an index: the reductions without max()'s wrapper
+    l1 = int(cot.argmax())
+    c1 = float(cot[l1])
+    cot[l1] = _LAST
+    l2 = int(cot.argmax())
+    c2 = float(cot[l2])
+    cot[l2] = _LAST
+    if _LAST < c1 < math.inf and cot[cot.argmin()] > -math.inf:
+        if p.size == 3:  # one candidate: l2 is i or j
+            return l1, l2
+        # math.atan2(1, c) is the turn whose cotangent is c
+        t2 = math.atan2(1.0, c2)
+        if (t2 - math.atan2(1.0, c1) > _TURN_SLACK
+                and math.atan2(1.0, float(cot[cot.argmax()])) - t2 > _TURN_SLACK):
+            return l1, l2
+    turn = np.angle(p)
+    turn += np.pi * (turn < 0.0)
+    turn[i] = turn[j] = np.inf
+    l1, l2 = np.argpartition(turn, 1)[:2].tolist()
+    return l1, l2
 
 
 def _march_arcs(cloud: PointCloud, tau: float):
@@ -417,12 +521,13 @@ def _seams(solve_at, z, tau, angles):
     return seams
 
 
-def _record(z, tau, key, phi):
+def _record(z, tau, key, phi, *hoisted):
     """Record (lo, hi, i, j, s) of basis key = (i, j, s), its arc shifted to contain phi.
 
-    Returns (record, row), row being ``_arc_for_basis``'s bound at hi.
+    Returns (record, row), row being ``_arc_for_basis``'s bound at hi;
+    hoisted, the walk's (rows, d), passes through to it.
     """
-    arc = _arc_for_basis(z, tau, *key)
+    arc = _arc_for_basis(z, tau, *key, *hoisted)
     if arc is None:
         i, j, s = key
         raise ArcGap(f"basis ({i}, {j}) with orientation {s} has an empty arc at {phi:.9f}")
@@ -499,10 +604,11 @@ def _finalize(z, tau, raw):
     """
     if not raw:
         raise ArcGap("no arcs produced")
-    # normalize starts into [0, 2 pi) keeping widths
+    # normalize starts into [0, 2 pi) keeping widths; a float's % is
+    # np.remainder's fmod and sign fix-up, bit for bit
     norm = []
     for lo, hi, i, j, s in raw:
-        start = float(np.remainder(lo, TWO_PI))
+        start = lo % TWO_PI
         norm.append((start, start + (hi - lo), i, j, s))
     norm.sort(key=lambda rec: rec[0])
 
@@ -522,14 +628,37 @@ def _finalize(z, tau, raw):
         raise ArcGap("a fitted pair + orientation occurs in two disjoint arcs")
 
     per_block = max(1, _CERT_BLOCK_ELEMENTS // z.shape[0])
+    work = _CertBuffers(z.shape[0], min(per_block, len(norm)))
     blocks = [
-        _certify_block(z, tau, norm[begin : begin + per_block])
+        _certify_block(z, tau, norm[begin : begin + per_block], work)
         for begin in range(0, len(norm), per_block)
     ]
     return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
-def _certify_block(z, tau, recs):
+class _CertBuffers:
+    """The (arcs, n)-sized arrays of ``_certify_block``, made once per ``_finalize``.
+
+    Each block writes its differences, side products, residuals, losses
+    and masks into the leading rows of these; only the two gathers of the
+    n - 2 points off each pair are allocated per block.  Arrays of a
+    block's size, allocated afresh for every block, cost a fresh zero
+    page for each 4 kB written: about 30,000 page faults per n = 1000
+    certification, more time than the arithmetic.  A block's rows have the
+    strides of fresh C-ordered arrays of its shape, so every ufunc, gemv
+    and reduction runs the same kernel on the same bits.
+    """
+
+    def __init__(self, n, rows):
+        self.d = np.empty((rows, n), dtype=np.complex128)
+        self.side = np.empty((rows, n, 1))
+        self.off = np.empty((rows, n), dtype=bool)
+        self.mask = np.empty((rows, n - 2), dtype=bool)
+        self.r = np.empty((rows, n))
+        self.neg = np.empty((rows, n), dtype=bool)
+
+
+def _certify_block(z, tau, recs, work):
     """SweepResult's columns for a run of normalized records.
 
     Each record (start, end, i, j, s) gets the hyperplane of basis (i, j)
@@ -555,7 +684,7 @@ def _certify_block(z, tau, recs):
     if outside.any():
         k = int(outside.argmax())
         if k:
-            _certify_block(z, tau, recs[:k])
+            _certify_block(z, tau, recs[:k], work)
         raise ArcGap(f"direction {phi[k]:.9f} is outside the basis orientation cone")
     b = npr / dn[:, None]
     a = np.vecdot(b, zi)
@@ -565,15 +694,19 @@ def _certify_block(z, tau, recs):
     # arrays are C-contiguous, so each arc's product is the one-arc gemv
     zc = _complex_rows(z)
     rows = np.arange(m)
-    off = np.ones((m, n), dtype=bool)
+    off = work.off[:m]
+    off[:] = True
     off[rows, fi] = False
     off[rows, fj] = False
-    d = (zc - zc[fi, None]).view(np.float64).reshape(m, n, 2)
+    d = np.subtract(zc, zc[fi, None], out=work.d[:m])
     # d @ (s npr) is s (d @ npr) up to the sign of a zero
-    side = (d @ (s[:, None] * npr)[:, :, None])[..., 0]
+    side = np.matmul(d.view(np.float64).reshape(m, n, 2), (s[:, None] * npr)[:, :, None],
+                     out=work.side[:m])[..., 0]
     sgn = side[off].reshape(m, n - 2)
-    psi = np.where(sgn > 0, tau, tau - 1.0)
-    n_below = np.count_nonzero(sgn < 0, axis=1)
+    n_below = np.count_nonzero(np.less(sgn, 0, out=work.mask[:m]), axis=1)
+    # psi = tau where sgn > 0, else tau - 1 (tau - True is tau - 1.0), over sgn
+    pos = np.greater(sgn, 0, out=work.mask[:m])
+    psi = np.subtract(tau, np.logical_not(pos, out=pos), out=sgn)
     z_off = np.broadcast_to(zc, (m, n))[off].view(np.float64).reshape(m, n - 2, 2)
     s0 = psi.sum(axis=1)
     s1 = (z_off.transpose(0, 2, 1) @ psi[:, :, None])[..., 0]
@@ -595,12 +728,15 @@ def _certify_block(z, tau, recs):
             except np.linalg.LinAlgError:
                 break
         if k:
-            _certify_block(z, tau, recs[:k])
+            _certify_block(z, tau, recs[:k], work)
         raise SingularSystem("stationarity system is singular")
     mult, duals = sol[:, 0], sol[:, 1:]
 
-    # the residuals z b - a, which only the objective check reads
-    objective = check_loss(tau, side / (s * dn)[:, None]).sum(axis=1)
+    # the residuals z b - a, which only the objective check reads, and
+    # check_loss's r (tau - [r < 0]) over them
+    r = np.divide(side, (s * dn)[:, None], out=work.r[:m])
+    loss = np.subtract(tau, np.less(r, 0.0, out=work.neg[:m]), out=side)
+    objective = np.multiply(r, loss, out=loss).sum(axis=1)
     dual_bad = ((duals > tau + 1e-9) | (duals < tau - 1.0 - 1e-9)).any(axis=1)
     mult_bad = np.abs(mult - objective) > 1e-7 * (1.0 + np.abs(objective))
     cover_bad = ~((n_below <= n * tau) & (n * tau <= n_below + 2))

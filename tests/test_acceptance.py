@@ -33,6 +33,7 @@ from quantour import (
     response_direction_grid,
     solve_qr,
     sweep,
+    tau_region,
 )
 from conftest import SQRT3, make_cloud
 
@@ -295,6 +296,26 @@ def test_criterion_7_km_traces_its_region_with_one_solve(tmp_path, monkeypatch):
     exact = json.loads(km_out.read_text())["result"]["exact"]
     assert exact == json.loads(contour_out.read_text())["result"]["region"]
     assert exact["status"] == BOUNDED
+
+
+def test_criterion_7_tau_region_forms_each_arc_once(monkeypatch):
+    # a deterministic work count: the walk forms one closed-form arc per
+    # record it emits, and none for the steps it rejects
+    import quantour.contour as contour_module
+
+    cloud, tau = make_cloud(704, 60), 0.305
+    arcs = len(contour_module._walk_arcs(cloud, tau))
+    arc_for_basis = contour_module._arc_for_basis
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:5])
+        return arc_for_basis(*args)
+
+    monkeypatch.setattr(contour_module, "_arc_for_basis", counted)
+    tau_region(cloud, tau)
+    assert len(calls) == arcs
+    assert len(set(calls)) == arcs  # one per basis
 
 
 def test_criterion_7_general_position_check_screens_every_anchor(monkeypatch):

@@ -1,6 +1,7 @@
 """Batch interface: ingestion, exit codes, output formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,13 +128,66 @@ def test_ingest_duplicate_rows_warn(tmp_path, capsys):
     path = write(tmp_path, "c.csv", "x,y\n1,1\n2,0\n1,1\n0,3\n")
     kind, data = ingest_csv(path)
     assert kind == "cloud" and data.n == 4
-    assert main(["depth", "-i", path, "--x", "1,0.5"]) == 0
+    quantile = ["quantile", "-i", path, "--tau", "0.3", "--u", "0,1"]
+    assert main(quantile) == 0
     assert capsys.readouterr().err == (
         "warning: degenerate input (duplicate points (rows [0, 2])); "
         "applied jitter 3e-05 with seed 0\n"
     )
-    assert main(["depth", "-i", path, "--x", "1,0.5", "--no-jitter"]) == 3
+    assert main([*quantile, "--no-jitter"]) == 3
     assert capsys.readouterr().err.startswith("error: duplicate points (rows [0, 2])\n")
+
+
+def halfspace_depth_count(z, x):
+    """Tukey depth count of x in O(n^2): the fewest points in a closed halfplane through x.
+
+    The count of {l : u'(z_l - x) >= 0} changes only where u is normal to
+    some z_l - x, so its least value is taken on the open arcs between
+    those angles; each arc is probed at its midpoint.  Rows equal to x lie
+    in every halfplane.
+    """
+    d = [(a - x[0], b - x[1]) for a, b in z.tolist()]
+    normals = [math.atan2(dy, dx) + half for dx, dy in d if (dx, dy) != (0.0, 0.0)
+               for half in (0.5 * math.pi, -0.5 * math.pi)]
+    cuts = sorted({t % (2 * math.pi) for t in normals})
+    if not cuts:
+        return len(d)
+    mids = [0.5 * (lo + hi) for lo, hi in zip(cuts, cuts[1:] + [cuts[0] + 2 * math.pi])]
+    return min(sum(math.cos(t) * dx + math.sin(t) * dy >= 0.0 for dx, dy in d) for t in mids)
+
+
+@pytest.mark.parametrize("rows, x, count", [
+    (None, "2,4", 3),
+    (None, "1,2", 2),
+    ("x,y\n1,1\n2,0\n1,1\n0,3\n", "1,0.5", 0),
+    ("x,y\n1,1\n2,0\n1,1\n0,3\n", "1,1", 2),
+    ("x,y\n0,0\n1,0\n2,0\n0,0\n1,1\n3,0\n", "1,0", 3),
+])
+def test_depth_reads_the_raw_cloud(tmp_path, capsys, rows, x, count):
+    # depth counts ties itself, so a collinear or duplicated cloud is
+    # neither checked nor jittered: the count is the exact depth of x
+    path = COLLINEAR if rows is None else write(tmp_path, "c.csv", rows)
+    assert main(["depth", "-i", path, "--x", x, "--no-jitter"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    got = json.loads(out.out)["result"]["depth"]["count"]
+    _, cloud = ingest_csv(path)
+    point = [float(v) for v in x.split(",")]
+    assert got == halfspace_depth_count(cloud.points, point) == count
+
+
+def test_depth_heals_the_cloud_for_its_region_only(capsys):
+    # the brute-force region needs lines through point pairs, which five
+    # collinear points do not give: --tau still heals, or exits 3 under
+    # --no-jitter, while the point's count is the raw cloud's
+    argv = ["depth", "-i", COLLINEAR, "--x", "2,4", "--tau", "0.305"]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err.startswith("warning: degenerate input (collinear triples (rows [0, 1, 2, 3, 4]))")
+    payload = json.loads(out.out)
+    assert payload["result"]["depth"]["count"] == 3
+    assert payload["result"]["region"]["status"] == "bounded"
+    assert main([*argv, "--no-jitter"]) == 3
 
 
 # ---------------------------------------------------------------- exit codes
@@ -228,7 +282,8 @@ def test_jitter_heals_a_collinear_cloud_at_its_own_scale(capsys, tmp_path, s):
 @pytest.mark.parametrize("e", [
     pytest.param(-20, marks=pytest.mark.xfail(
         strict=True, reason="intersect_halfplanes_2d's clipping box and ring tolerance are "
-        "absolute, so at 2**-20 the region has 19 facets instead of 15 (ROADMAP item 4)")),
+        "absolute, so at 2**-20 the region has 19 facets instead of 15 "
+        "(ROADMAP items 6 and 12(b))")),
     26,
 ])
 def test_a_healed_region_scales_with_the_cloud(capsys, tmp_path, e):

@@ -39,6 +39,7 @@ from quantour.errors import DegenerateDesign
 from quantour.geometry import Direction, orthocomplement_basis, vector_norm
 from quantour.qr import QrProblem, check_loss, solve_qr
 from quantour.regression import _design, _stationarity_solve
+from certify import arc_failures
 from conftest import SQRT3, assert_reaped, make_cloud
 
 RNG = np.random.default_rng
@@ -670,6 +671,127 @@ def test_walk_matches_the_march(hexagon, triangle):
 def test_walk_matches_the_march_with_no_three_in_line(case):
     z, tau = case
     assert_walk_is_the_march(PointCloud(z), tau)
+
+
+def failures(cloud, tau, result, u=None, fitted=None, n_below=None):
+    """tests/certify.py's exact check of every arc of a sweep table."""
+    return arc_failures(cloud.points, tau, result.fitted if fitted is None else fitted,
+                        result.orientation, result.u if u is None else u,
+                        result.n_below if n_below is None else n_below)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 60), st.data())
+def test_every_arc_passes_the_exact_verifier(seed, n, data):
+    # each arc's pair is an optimal basis at its emitted u, checked in
+    # rational arithmetic: the sweep's and the walk's tables alike
+    cloud = make_cloud(seed, n)
+    tau = (data.draw(st.integers(0, n // 2 - 1)) + 0.5) / n
+    swept = sweep(cloud, tau)
+    walked = table(cloud.points, tau, contour_module._walk_arcs(cloud, tau))
+    assert failures(cloud, tau, swept) == []
+    assert failures(cloud, tau, walked) == []
+
+
+def test_the_exact_verifier_rejects_a_wrong_pair_the_next_arcs_u_and_a_wrong_count():
+    cloud, tau = make_cloud(94, 40), 0.178
+    result = sweep(cloud, tau)
+    m = len(result.arcs)
+    assert failures(cloud, tau, result) == []
+    # each arc checked at the next arc's representative direction
+    assert len(failures(cloud, tau, result, u=np.roll(result.u, -1, axis=0))) == m
+    # each arc's second row replaced by the next row off its pair
+    fitted = result.fitted.copy()
+    for k, (i, j) in enumerate(fitted.tolist()):
+        fitted[k, 1] = next(r for r in range(j + 1, j + cloud.n) if r % cloud.n != i) % cloud.n
+    assert len(failures(cloud, tau, result, fitted=fitted)) == m
+    # each arc's count below off by one
+    assert len(failures(cloud, tau, result, n_below=result.n_below + 1)) == m
+
+
+def reference_entering(p, i, j):
+    """The walk's former entering rule: the two least turns arg(p) mod pi, by partition."""
+    turn = np.angle(p)
+    turn += np.pi * (turn < 0.0)
+    turn[i] = turn[j] = np.inf
+    l1, l2 = np.argpartition(turn, 1)[:2].tolist()
+    return l1, l2
+
+
+def edge_products(rng, n):
+    """Products p for _entering: regular ones, then the inputs where Re/Im is not finite.
+
+    Rows 0 and 1 are the pair (p = 0 and a real |d|^2, as in the walk).
+    The others hold cross products of +0.0 and -0.0 with Re of either sign,
+    Re = Im = 0 with every sign of the zeros (a duplicate of the staying
+    point), exact ties (equal products, and products scaled by 2 and 3),
+    turns a few ulp apart, infinities and NaN.
+    """
+    p = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    p[0], p[1] = 0.0, float(rng.uniform(0.5, 2.0))
+    specials = [complex(re, im) for re in (1.5, -1.5, 0.0, -0.0) for im in (0.0, -0.0)]
+    specials += [p[2], 2.0 * p[n - 1], 3.0 * p[n - 1], complex(1.0, 1e-300), complex(-1.0, 1e-300),
+                 complex(1.0, 5e-324), complex(-1.0, -5e-324), complex(np.inf, 1.0),
+                 complex(-np.inf, 1.0), complex(1.0, np.inf), complex(np.inf, np.inf),
+                 complex(np.nan, 1.0), complex(1.0, 2.0), complex(1.0 + 2.0 ** -52, 2.0),
+                 complex(-np.finfo(float).max, 1.0)]
+    k = int(rng.integers(0, 4))
+    rows = rng.choice(np.arange(2, n), size=min(k, n - 2), replace=False)
+    for row in rows:
+        p[row] = specials[int(rng.integers(len(specials)))]
+    return p
+
+
+def test_entering_picks_the_former_rows():
+    # the division key against the former atan2 partition, on every input
+    # where the two can part ways: zero cross products of either sign, a
+    # duplicate of the staying point, exact and near ties, overflow, NaN
+    rng = RNG(92)
+    edge_inputs = 0
+    for trial in range(3000):
+        n = int(rng.integers(3, 12)) if trial % 2 else int(rng.integers(12, 200))
+        p = edge_products(rng, n)
+        i, j = (0, 1) if trial % 3 else (1, 0)
+        want = reference_entering(p.copy(), i, j)
+        got = contour_module._entering(p.copy(), i, j)
+        # with one candidate the runner-up is i or j, and the walk ignores it
+        assert got[: 1 if n == 3 else 2] == want[: 1 if n == 3 else 2], (trial, p)
+        edge_inputs += not np.isfinite(p[2:]).all() or (p[2:].imag == 0).any()
+    assert edge_inputs > 500
+
+
+def tied_clouds():
+    """Clouds whose walk meets exact ties: lattice points and duplicated rows."""
+    rng = RNG(93)
+    clouds = []
+    while len(clouds) < 60:
+        if len(clouds) % 2:
+            z = np.unique(rng.integers(0, 6, (int(rng.integers(8, 20)), 2)).astype(float), axis=0)
+        else:
+            z = rng.standard_normal((int(rng.integers(8, 20)), 2))
+            z = np.vstack([z, z[rng.integers(0, len(z), 2)]])
+        clouds.append((z, (int(rng.integers(0, len(z) // 2)) + 0.5) / len(z)))
+    return clouds
+
+
+def walk_outcome(z, tau):
+    try:
+        return contour_module._walk_arcs(PointCloud(z), tau)
+    except QuantourError as exc:
+        return type(exc), str(exc), getattr(exc, "indices", None)
+
+
+def test_the_walk_keeps_its_rows_at_exact_ties(monkeypatch):
+    # lattice clouds and duplicated rows put exact ties among the first
+    # turns: the walk gives the records, or the error and rows, that it
+    # gives with the former entering rule
+    clouds = tied_clouds()
+    got = [walk_outcome(z, tau) for z, tau in clouds]
+    monkeypatch.setattr(contour_module, "_entering", reference_entering)
+    want = [walk_outcome(z, tau) for z, tau in clouds]
+    assert got == want
+    named = [out for out in got if isinstance(out, tuple) and out[0] is DegenerateData]
+    assert len(named) > 20 and any(isinstance(out, list) for out in got)
 
 
 def test_block_certification_matches_on_hexagon_and_small_blocks(hexagon, monkeypatch):
