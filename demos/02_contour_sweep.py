@@ -25,7 +25,7 @@ hexagon = PointCloud(np.column_stack([np.cos(ang), np.sin(ang)]))
 
 def main():
     res = sweep(hexagon, 0.25)
-    print(f"hexagon, tau = 0.25: {len(res.arcs)} arcs, {res.n_pivots} pivots")
+    print(f"hexagon, tau = 0.25: {len(res.arcs)} arcs")
     print(f"{'start':>9} {'end':>9} {'width':>8} fitted  n_below")
     # one table row per arc: bounds, fitted pair, points below the line
     for (start, end), fitted, n_below in zip(

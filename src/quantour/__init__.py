@@ -57,7 +57,6 @@ from .contour import (
     fixed_tau_region,
     probability_contents,
     sweep,
-    tau_region,
 )
 from .km import RegionComparison, compare_regions, km_envelope
 from .regression import (

@@ -19,8 +19,9 @@ without "=".
 regress --x0 solves its direction grid, and contour marches its sweep's
 circle on clouds of 200 points or more, over the CPUs the process may
 use, in forked children (quantour._fork); the bytes do not depend on how
-many.  km and fig2 trace their regions with the serial rotating-line
-walk (contour.tau_region).
+many.  contour marches (contour._marched_sweep) only because its JSON
+reports the march's pivot count; km and fig2 take the library sweep,
+the serial rotating-line walk (contour.sweep).
 
 Exit codes: 0 success, 2 degenerate tau (message names the nearest
 admissible levels), 3 degenerate data that --no-jitter refused or that
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import __version__, _fork
 from .cloud import PointCloud, _jitter_amplitude, jitter
-from .contour import fixed_tau_region, probability_contents, sweep, tau_region
+from .contour import _marched_sweep, fixed_tau_region, probability_contents, sweep
 from .depth import depth_2d, depth_region_bruteforce_2d
 from .directional import (
     directional_quantile,
@@ -364,7 +365,7 @@ def _cmd_quantile(args):
 
 def _cmd_contour(args):
     cloud = _load_cloud(args)
-    res = sweep(cloud, args.tau)
+    res, n_pivots = _marched_sweep(cloud, args.tau)
     region = fixed_tau_region(res)
     prob = probability_contents(region, cloud)
     rows = [["start", "end", "orientation", "i", "j", "a", "b1", "b2",
@@ -380,9 +381,9 @@ def _cmd_contour(args):
                      "hyperplane": hyperplane})
         rows.append([repr(start), repr(end), s, i, j, repr(a), repr(b1),
                      repr(b2), repr(mult), below])
-    # "method" names the one sweep there is; it stays so the JSON keeps its bytes
+    # "method" and "n_pivots" name the march; they stay so the JSON keeps its bytes
     payload = {
-        "meta": _meta(args, cloud, method="parametric", n_pivots=res.n_pivots),
+        "meta": _meta(args, cloud, method="parametric", n_pivots=n_pivots),
         "result": {
             "arcs": arcs,
             "region": region_payload(region),
@@ -427,7 +428,7 @@ def _cmd_km(args):
     validate_tau(args.tau)
     cloud = _load_cloud(args)
     envelope = km_envelope(cloud, args.tau, args.K)
-    exact = tau_region(cloud, args.tau)
+    exact = fixed_tau_region(sweep(cloud, args.tau))
     comparison = compare_regions(exact, envelope)
     result = {
         "envelope": region_payload(envelope),
@@ -549,7 +550,7 @@ def _cmd_fig2(args):
     for ell in range(15):
         cloud = outlier_scenario(args.seed, ell)
         h = directional_quantile(cloud, tau_q, u0)
-        hull = tau_region(cloud, tau_hull)
+        hull = fixed_tau_region(sweep(cloud, tau_hull))
         outlier = cloud.points[-1]
         if hull.contains(outlier) != OUTSIDE:
             inside += 1

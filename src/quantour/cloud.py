@@ -105,9 +105,11 @@ class PointCloud:
         A triple counts as collinear when, with d = z[j] - z[i] and
         e = z[l] - z[i], |d_1 e_2 - d_2 e_1| <= tol * scale**2, where scale is
         max |z|, so scaling the cloud by a power of two leaves the triples
-        unchanged.  Triples come by ascending i, then ascending (j, l),
-        and the scan stops after ``limit`` of them; ``limit`` < 1 raises
-        ValueError.
+        unchanged: the test runs on the cloud over the power of two that puts
+        max |z| in [0.5, 1), so neither the tolerance nor a cross product
+        over- or underflows with the cloud's scale.  Triples come by
+        ascending i, then ascending (j, l), and the scan stops after
+        ``limit`` of them; ``limit`` < 1 raises ValueError.
 
         Every row is scanned, at a cost of O(n^2 log n) plus the work on
         near-collinear pairs: see :func:`_anchor_hits`.
@@ -116,9 +118,9 @@ class PointCloud:
             raise ValueError(f"limit must be at least 1, got {limit}")
         if self.k != 2:
             return []
-        pts = self.points
-        # scale-aware tolerance on twice the triangle area
-        scale = float(np.abs(pts).max())
+        # z / 2**e, whose max |z| is scale, and the tolerance on twice the triangle area
+        scale, e = np.frexp(np.abs(self.points).max())
+        pts, scale = np.ldexp(self.points, -e), float(scale)
         area_tol = tol * scale * scale
         hits = _collinear_hits(pts, area_tol, limit)
         return [tuple(t) for t in hits.tolist()]

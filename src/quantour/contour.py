@@ -6,31 +6,28 @@ breakpoints the optimal fitted pair and side pattern are constant.  For a
 fixed pair and orientation the dual weights are ratios of homogeneous
 linear functions of u, so the set of directions where the basis stays
 dual-feasible is the intersection of half-circles: a single arc computed
-in closed form.  ``tau_region`` walks arc to arc in closed form: the
-dual bound that ends an arc names the point that leaves the basis, and
-the line turned about the point that stays meets the one that enters
-(``_walk_arcs``).  ``sweep`` still marches arc to arc with warm-started
-pivots (``_march_arcs``), kept only because its SweepResult reports the
-march's n_pivots.  Both build every arc record in ``_record`` from one
-cold solve at phi = 0, and the arcs must tile the circle exactly.
+in closed form.  ``sweep`` walks arc to arc in closed form from one cold
+solve at phi = 0: the dual bound that ends an arc names the point that
+leaves the basis, and the line turned about the point that stays meets
+the one that enters (``_walk_arcs``).  Every arc record is built in
+``_record``, and the arcs must tile the circle exactly.
 ``_enumerate_arcs``, which scans every point pair's arc, is kept as the
 tests' independent oracle.
 
-General position is guarded by the solver: every basis the march
-records comes from ``solve_qr``, whose certificate raises DegenerateDesign
-when a row off the basis lies on the fitted line.  The sweep re-raises it
-as DegenerateData with the same ``indices``, the pair and the rows on its
-line; no per-arc scan tests collinearity a second time.  The walk solves
-only at phi = 0, so it tests its own step: the two points its turning
-line would meet first must not lie on one line with the turning point.
+General position is guarded by the solver and by the walk's own step:
+the cold solve's certificate raises DegenerateDesign when a row off the
+basis lies on the fitted line, which the sweep re-raises as
+DegenerateData with the same ``indices``; past phi = 0, the two points
+the turning line would meet first must not lie on one line with the
+turning point.
 
-Once an arc is appended, the march ahead depends only on that arc.  So
-from _FORK_MIN_POINTS points on, the circle is cut at one seam angle per
-further allowed CPU, a cold solve at each seam gives the arc there, and
-the chunks between seams are marched side by side in forked children
-(quantour._fork), then joined at the seam arcs.  The arcs, n_pivots and
-any error are the serial march's, on any number of CPUs.  The walk runs
-in this process only.
+``_marched_sweep`` is the former route to the same records: it marches
+arc to arc with warm-started pivots (``_march_arcs``), from
+_FORK_MIN_POINTS points on in angular chunks over forked children
+(quantour._fork), joined at seam arcs, with the serial march's arcs,
+pivot count and errors on any number of CPUs.  Only ``quantour
+contour`` calls it, because its JSON reports the march's pivot count,
+which the benchmark's committed digests pin.
 
 Each arc's representative hyperplane, taken at the arc midpoint, is
 rebuilt from its basis and certified (orientation, dual box, multiplier
@@ -103,12 +100,10 @@ class SweepResult:
     representative: u (m, 2), halfplanes (m, 3) rows (b_1, b_2, a) of
     {z : b'z >= a}, c (m, 1), multiplier (m,), duals (m, 2) and n_below (m,);
     n_above is n - 2 - n_below.  The line and orientation hold over the
-    whole arc, while (a, b) renormalize with u.  n_pivots counts the
-    march's pivots.
+    whole arc, while (a, b) renormalize with u.
     """
 
     tau: float
-    n_pivots: int
     arcs: np.ndarray
     fitted: np.ndarray
     orientation: np.ndarray
@@ -120,7 +115,7 @@ class SweepResult:
     n_below: np.ndarray
 
     def __post_init__(self):
-        for column in fields(self)[2:]:  # the per-arc columns
+        for column in fields(self)[1:]:  # the per-arc columns
             getattr(self, column.name).setflags(write=False)
 
 
@@ -149,10 +144,11 @@ def _arc_for_basis(z, tau, i, j, s, rows=None, d=None):
     half-circles.  row names the dual bound that sets hi, the first of
     equals: 0 or 1 when i's dual leaves its box there, 2 or 3 when j's
     does, None when only the orientation sign ends the arc.
-    No point is checked against the pair's line here: each basis the
-    march records comes from ``solve_qr``, whose certificate raises
-    DegenerateDesign, with its rows, when a third point lies on the fitted
-    line.
+    No point is checked against the pair's line here: the first basis
+    comes from ``solve_qr``, whose certificate raises DegenerateDesign,
+    with its rows, when a third point lies on the fitted line, and the
+    walk tests each step's entering point (so does the solver each of the
+    march's bases).
 
     rows, when given, is (``_complex_rows(z)``, ``z.tolist()``), which the
     walk forms once; d, when given, is ``_complex_rows(z)`` minus its row
@@ -247,26 +243,9 @@ def _align(lo: float, hi: float, anchor: float):
 def sweep(cloud: PointCloud, tau: float) -> SweepResult:
     """All tau-u quantile hyperplanes for u over the unit circle.
 
-    Solves once at phi = 0, then advances breakpoint to breakpoint with
-    warm-started pivots: from _FORK_MIN_POINTS points on, in angular
-    chunks over the allowed CPUs, with the serial march's arcs, n_pivots
-    and errors.  Verifies that the arcs tile the circle and that no basis
-    repeats, raising ArcGap otherwise.  The march stays only for n_pivots:
-    ``tau_region`` traces the same arcs without a solve past phi = 0.
-    """
-    tau = _sweep_tau(cloud, tau)
-    raw, pivots = _march_arcs(cloud, tau)
-    return SweepResult(tau, pivots, *_finalize(cloud.points, tau, raw))
-
-
-def tau_region(cloud: PointCloud, tau: float) -> ConvexRegion2D:
-    """The tau-quantile region, traced by the rotating-line walk.
-
-    Validates as ``sweep`` does, certifies the walk's records through the
-    same ``_finalize`` and intersects their halfplanes as
-    ``fixed_tau_region`` does, so the region equals
-    ``fixed_tau_region(sweep(cloud, tau))`` byte for byte.  One solve, at
-    phi = 0, and one O(n) pass per arc; the walk also raises
+    Traces the arcs with the rotating-line walk: one solve, at phi = 0,
+    and one O(n) pass per arc.  Verifies that the arcs tile the circle and
+    that no basis repeats, raising ArcGap otherwise; the walk also raises
     DegenerateData, with three rows, where its turning line would meet two
     points at once.
 
@@ -280,8 +259,25 @@ def tau_region(cloud: PointCloud, tau: float) -> ConvexRegion2D:
     exception and output bit is the one the former per-step formulas gave.
     """
     tau = _sweep_tau(cloud, tau)
-    columns = _finalize(cloud.points, tau, _walk_arcs(cloud, tau))
-    return intersect_halfplanes_2d(columns[4], method="lazy")  # SweepResult.halfplanes
+    return SweepResult(tau, *_finalize(cloud.points, tau, _walk_arcs(cloud, tau)))
+
+
+def _marched_sweep(cloud: PointCloud, tau: float):
+    """(SweepResult, pivots): the same table from the warm-started march.
+
+    Solves once at phi = 0, then advances breakpoint to breakpoint with
+    warm-started pivots: from _FORK_MIN_POINTS points on, in angular
+    chunks over the allowed CPUs, with the serial march's arcs, pivot
+    count and errors.  Wherever the march completes, its records have
+    equalled the walk's on every cloud checked, so its table is
+    ``sweep``'s, byte for byte.  Only ``quantour contour`` calls this,
+    for the pivot count its JSON reports; ROADMAP item 2 deletes it, with
+    the march, when the benchmark digests are re-recorded without that
+    count.
+    """
+    tau = _sweep_tau(cloud, tau)
+    raw, pivots = _march_arcs(cloud, tau)
+    return SweepResult(tau, *_finalize(cloud.points, tau, raw)), pivots
 
 
 def _sweep_tau(cloud: PointCloud, tau: float) -> float:
@@ -331,9 +327,9 @@ def _cold_start(cloud: PointCloud, tau: float):
 
 
 def _walk_arcs(cloud: PointCloud, tau: float):
-    """Closed-form arc-to-arc walk; returns [(lo, hi, i, j, s)] as the march does.
+    """Closed-form arc-to-arc walk; returns the records [(lo, hi, i, j, s)].
 
-    From the march's first record, each step turns the pair's line about
+    From ``_cold_start``'s first record, each step turns the pair's line about
     the point that stays in the basis: the dual bound that sets the arc's
     end names the point that leaves, and the point that enters is the
     first one the line meets as it turns counterclockwise from the leaving
@@ -597,8 +593,8 @@ def _enumerate_arcs(z, tau):
 def _finalize(z, tau, raw):
     """Normalize records, verify the tiling and key uniqueness, certify.
 
-    Each arc must come as one record: the march's first arc contains angle
-    0 and its last ends where the first starts, and the enumeration emits
+    Each arc must come as one record: the walk's and the march's first arc
+    contains angle 0 and their last ends where the first starts, and the enumeration emits
     each arc once, so an arc split at 0 repeats its key and raises ArcGap.
     Returns SweepResult's columns, in its field order.
     """

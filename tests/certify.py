@@ -1,4 +1,4 @@
-"""Exact verifier of swept arcs, independent of quantour.
+"""Exact verifier of swept arcs and directional quantiles, independent of quantour.
 
 Every float is a dyadic rational, so the checks below are exact: the
 points go onto one integer grid (z = Z / 2**e), side tests are integer
@@ -16,6 +16,10 @@ count below, the pair must be an optimal basis at u (Koenker & Bassett,
   [[0, 1, 1], [-u, z_i, z_j]] (lambda, d_i, d_j) = -(sum psi, sum psi z)
   is regular, with both duals d_i, d_j in [tau - 1, tau];
 - the emitted count below equals the exact count.
+
+A planar directional quantile passes the same check, with s the sign of
+perp(z_j - z_i)'u, and its emitted a and b must lie within 1e-12
+relative of the exact line through its pair.
 
 Only numpy and the standard library are used; nothing is imported from
 quantour.
@@ -106,4 +110,32 @@ def arc_failures(points, tau, fitted, orientation, u, n_below):
             continue
         if count != below:
             failures.append((k, f"n_below is {below}, the exact count {count}"))
+    return failures
+
+
+def quantile_failures(points, tau, u, fitted, counts, a, b):
+    """[reason] for a planar directional quantile that is not the exact fit at u.
+
+    u, the fitted pair, counts (below, on, above), a and b as emitted.  With
+    b* = perp(z_j - z_i) / (perp(z_j - z_i)'u) and a* = b*'z_i, b must lie
+    within 1e-12 max|b*| of b* in each coordinate and a within 1e-12 of
+    |b*_1 z_i1| + |b*_2 z_i2|.  An empty list certifies the fit.
+    """
+    (xi, yi), (xj, yj) = (map(Fraction, row) for row in np.asarray(points)[list(fitted)].tolist())
+    n0, n1 = yi - yj, xj - xi
+    dn = n0 * Fraction(float(u[0])) + n1 * Fraction(float(u[1]))
+    if dn == 0:
+        return ["the pair's line is parallel to u"]
+    below, on, above = counts
+    failures = [reason for _, reason in
+                arc_failures(points, tau, [fitted], [1 if dn > 0 else -1], [u], [below])]
+    if (on, above) != (2, len(points) - 2 - below):
+        failures.append(f"counts {tuple(counts)} do not add up to n with 2 on the line")
+    bx, by = n0 / dn, n1 / dn
+    b0, b1 = (Fraction(float(v)) for v in b)
+    rel = Fraction(1e-12)
+    if max(abs(b0 - bx), abs(b1 - by)) > rel * max(abs(bx), abs(by)):
+        failures.append("b is off the exact line through the pair")
+    if abs(Fraction(float(a)) - bx * xi - by * yi) > rel * (abs(bx * xi) + abs(by * yi)):
+        failures.append("a is off the exact line through the pair")
     return failures

@@ -6,6 +6,7 @@ under test (enumeration oracles, hand arithmetic, order statistics).
 """
 
 import time
+from importlib import resources
 from itertools import combinations
 
 import numpy as np
@@ -33,7 +34,6 @@ from quantour import (
     response_direction_grid,
     solve_qr,
     sweep,
-    tau_region,
 )
 from conftest import SQRT3, make_cloud
 
@@ -298,24 +298,25 @@ def test_criterion_7_km_traces_its_region_with_one_solve(tmp_path, monkeypatch):
     assert exact["status"] == BOUNDED
 
 
-def test_criterion_7_tau_region_forms_each_arc_once(monkeypatch):
-    # a deterministic work count: the walk forms one closed-form arc per
-    # record it emits, and none for the steps it rejects
+def test_criterion_7_sweep_solves_once_and_forms_each_arc_once(monkeypatch):
+    # deterministic work counts: the walk makes one cold solve, and it
+    # forms one closed-form arc per record it emits and none for the steps
+    # it rejects
     import quantour.contour as contour_module
 
-    cloud, tau = make_cloud(704, 60), 0.305
-    arcs = len(contour_module._walk_arcs(cloud, tau))
-    arc_for_basis = contour_module._arc_for_basis
     calls = []
-
-    def counted(*args):
-        calls.append(args[2:5])
-        return arc_for_basis(*args)
-
-    monkeypatch.setattr(contour_module, "_arc_for_basis", counted)
-    tau_region(cloud, tau)
-    assert len(calls) == arcs
-    assert len(set(calls)) == arcs  # one per basis
+    for name in ("solve_qr", "_arc_for_basis"):
+        real = getattr(contour_module, name)
+        monkeypatch.setattr(contour_module, name, lambda *args, real=real, name=name, **kwargs: (
+            calls.append((name, args[2:5])) or real(*args, **kwargs)))
+    hexagon = np.loadtxt(resources.files("quantour") / "fixtures" / "hexagon.csv",
+                         delimiter=",", skiprows=1)
+    for cloud, tau in ((PointCloud(hexagon), 0.3), (make_cloud(704, 60), 0.305)):
+        calls.clear()
+        arcs = len(sweep(cloud, tau).arcs)
+        keys = [key for name, key in calls if name == "_arc_for_basis"]
+        assert len(calls) - len(keys) == 1  # one solve_qr call
+        assert len(keys) == len(set(keys)) == arcs  # one arc per basis
 
 
 def test_criterion_7_general_position_check_screens_every_anchor(monkeypatch):

@@ -136,15 +136,18 @@ def test_scaled_clouds_match_dense(scale):
 
 def test_power_of_two_scaling_keeps_triples():
     # scaling by 2**e is exact, so every cross product and the tolerance
-    # scale by 4**e and each triple is decided as in the unscaled cloud
+    # scale by 4**e and each triple is decided as in the unscaled cloud,
+    # also where the squares over- or underflow (a RuntimeWarning fails:
+    # pyproject.toml makes it an error)
     clean = RNG(42).standard_normal((60, 2))
     planted = gaussian_with_midpoint(43, 40)
     for z in (clean, planted, GRID8, make_cloud(44, 300).points):
         want = PointCloud(z).collinear_triples(limit=10**9)
-        for e in (-40, -20, 20):
+        for e in (-1000, -600, -300, -40, -20, 20, 300, 600):
             assert PointCloud(2.0**e * z).collinear_triples(limit=10**9) == want, e
     assert PointCloud(clean).collinear_triples(limit=10**9) == []
     assert PointCloud(planted).collinear_triples(limit=10**9)
+    assert PointCloud(1e200 * clean).collinear_triples() == []
     # the duplicate tolerance scales with the cloud too
     for e in (-40, -20, 20):
         PointCloud(2.0**e * clean).require_general_position()
@@ -162,8 +165,14 @@ def test_other_tolerances_match_dense():
     z = gaussian_with_midpoint(60, 40)
     for tol in (0.0, 1e-6, 1e-2):
         assert_same_triples(z, tol=tol)
-    # squared lengths below the normal range: no window, every pair tested
-    assert_same_triples(1e-160 * z, tol=0.0)
+    # squared lengths below the normal range: no window, every pair tested;
+    # the anchor is the first of two rows 1e-160 apart
+    assert_same_triples(np.vstack([[[1e-160, 2e-160], [3e-160, -1e-160]], z]), tol=0.0)
+    # a whole cloud that small is tested in its power-of-two frame, where
+    # no cross product underflows to 0 as the dense scan's do
+    assert dense_collinear_triples(2.0**-540 * z, tol=0.0)
+    tiny = PointCloud(2.0**-540 * z)
+    assert tiny.collinear_triples(tol=0.0) == PointCloud(z).collinear_triples(tol=0.0)
 
 
 def test_many_batches_match_dense(monkeypatch):

@@ -6,6 +6,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from quantour import (
     km_envelope,
     probability_contents,
     sweep,
-    tau_region,
 )
 from quantour.contour import MIN_WIDTH, SweepResult, _perp
 from quantour.directional import QuantileHyperplane
@@ -193,7 +193,7 @@ def test_midpoint_global_optimality():
 
 
 def test_parametric_matches_enumeration():
-    # the spec for this sweep: both routes produce identical arc systems
+    # the spec for this sweep: the walk and the oracle produce identical arc systems
     rng = RNG(71)
     for _ in range(200):
         n = int(rng.integers(5, 31))
@@ -205,9 +205,7 @@ def test_parametric_matches_enumeration():
         enu = enumerated(cloud, tau)
         assert_same_arcs(par, enu)
         assert_tiling(par)
-        walk = table(cloud.points, tau, contour_module._walk_arcs(cloud, tau))
-        assert_same_arcs(walk, enu)
-        assert np.array_equal(walk.orientation, enu.orientation)
+        assert np.array_equal(par.orientation, enu.orientation)
 
 
 def test_region_matches_depth_oracle():
@@ -374,22 +372,26 @@ def test_empty_region_at_high_level(square):
 def test_arc_and_pivot_economy():
     for seed, n in ((76, 50), (77, 120)):
         cloud = make_cloud(seed, n)
-        result = sweep(cloud, 0.178)
+        result, pivots = contour_module._marched_sweep(cloud, 0.178)
         assert len(result.arcs) <= n * (n - 1)  # 2 * C(n, 2)
-        assert result.n_pivots <= 2 * len(result.arcs) + 16
+        assert pivots <= 2 * len(result.arcs) + 16
+    # quantour contour prints these counts, which the benchmark digests pin
+    z = np.loadtxt(resources.files("quantour") / "fixtures" / "hexagon.csv",
+                   delimiter=",", skiprows=1)
+    for tau, pivots in ((0.3, 12), (0.25, 11)):
+        assert contour_module._marched_sweep(PointCloud(z), tau)[1] == pivots
 
 
 def test_sweep_input_validation(collinear5):
     cloud = make_cloud(78, 10)
-    for trace in (sweep, tau_region):
-        with pytest.raises(DegenerateData):
-            trace(PointCloud(collinear5), 0.305)
-        with pytest.raises(DegenerateTau):
-            trace(cloud, 0.3)
-        with pytest.raises(DimensionMismatch):
-            trace(PointCloud(np.eye(3)), 0.305)
-        with pytest.raises(DimensionMismatch):
-            trace(PointCloud(np.eye(2)), 0.305)
+    with pytest.raises(DegenerateData):
+        sweep(PointCloud(collinear5), 0.305)
+    with pytest.raises(DegenerateTau):
+        sweep(cloud, 0.3)
+    with pytest.raises(DimensionMismatch):
+        sweep(PointCloud(np.eye(3)), 0.305)
+    with pytest.raises(DimensionMismatch):
+        sweep(PointCloud(np.eye(2)), 0.305)
 
 
 def planted_cloud(seed, rel):
@@ -411,8 +413,10 @@ def test_a_planted_collinear_triple_is_named_by_the_solver():
         for rel in (0.0, 1e-13, 1e-11):
             cloud, tau = planted_cloud(seed, rel), taus[seed % 3]
             regions = {}
-            for name, trace in (("sweep", lambda: fixed_tau_region(sweep(cloud, tau))),
-                                ("walk", lambda: tau_region(cloud, tau))):
+            for name, trace in (
+                ("march", lambda: fixed_tau_region(contour_module._marched_sweep(cloud, tau)[0])),
+                ("walk", lambda: fixed_tau_region(sweep(cloud, tau))),
+            ):
                 try:
                     regions[name] = trace()
                 except DegenerateData as exc:
@@ -423,10 +427,10 @@ def test_a_planted_collinear_triple_is_named_by_the_solver():
                     assert name != "walk", f"seed {seed}, rel {rel}: {exc}"
                 except QuantourError:
                     pass
-            if "sweep" in regions:
+            if "march" in regions:
                 assert "walk" in regions, f"seed {seed}, rel {rel}"
-                assert_same_region(regions["walk"], regions["sweep"])
-    assert named["sweep"] > 0 and named["walk"] > 0
+                assert_same_region(regions["walk"], regions["march"])
+    assert named["march"] > 0 and named["walk"] > 0
 
 
 def test_sweep_determinism():
@@ -435,7 +439,7 @@ def test_sweep_determinism():
     b = sweep(cloud, 0.101)
     assert np.array_equal(a.arcs, b.arcs) and np.array_equal(a.fitted, b.fitted)
     # one read-only column per arc field, one row per arc
-    for column in fields(SweepResult)[2:]:
+    for column in fields(SweepResult)[1:]:
         col = getattr(a, column.name)
         assert len(col) == len(a.arcs) and not col.flags.writeable, column.name
 
@@ -580,7 +584,7 @@ def records(result):
 
 def table(z, tau, raw):
     """_finalize's columns for raw records, as a SweepResult."""
-    return SweepResult(tau, 0, *contour_module._finalize(z, tau, raw))
+    return SweepResult(tau, *contour_module._finalize(z, tau, raw))
 
 
 def enumerated(cloud, tau):
@@ -604,7 +608,7 @@ def assert_same_hyperplane(result, k, want, n):
 
 def assert_same_table(got, want):
     assert got.tau == want.tau
-    for column in fields(SweepResult)[2:]:
+    for column in fields(SweepResult)[1:]:
         name = column.name
         assert same_bits(getattr(got, name), getattr(want, name)), name
 
@@ -684,13 +688,13 @@ def failures(cloud, tau, result, u=None, fitted=None, n_below=None):
 @given(st.integers(0, 2**32 - 1), st.integers(6, 60), st.data())
 def test_every_arc_passes_the_exact_verifier(seed, n, data):
     # each arc's pair is an optimal basis at its emitted u, checked in
-    # rational arithmetic: the sweep's and the walk's tables alike
+    # rational arithmetic: the sweep's and the march's tables alike
     cloud = make_cloud(seed, n)
     tau = (data.draw(st.integers(0, n // 2 - 1)) + 0.5) / n
     swept = sweep(cloud, tau)
-    walked = table(cloud.points, tau, contour_module._walk_arcs(cloud, tau))
+    marched, _ = contour_module._marched_sweep(cloud, tau)
     assert failures(cloud, tau, swept) == []
-    assert failures(cloud, tau, walked) == []
+    assert failures(cloud, tau, marched) == []
 
 
 def test_the_exact_verifier_rejects_a_wrong_pair_the_next_arcs_u_and_a_wrong_count():
@@ -805,7 +809,7 @@ def test_block_certification_matches_on_hexagon_and_small_blocks(hexagon, monkey
 
 
 def test_arc_split_at_zero_raises_arc_gap():
-    # the march emits the arc through zero as one record, so _finalize has
+    # the walk emits the arc through zero as one record, so _finalize has
     # no merge: the halves of a split repeat the arc's key, which raises
     cloud = make_cloud(88, 50)
     tau = 0.178
@@ -822,10 +826,11 @@ def test_fortran_ordered_input_gives_same_sweep():
     # cannot move a bit of the sweep
     z = make_cloud(90, 300).points
     tau = 0.2017
-    want = sweep(PointCloud(z), tau)
-    got = sweep(PointCloud(np.asfortranarray(z)), tau)
-    assert got.n_pivots == want.n_pivots
+    want, want_pivots = contour_module._marched_sweep(PointCloud(z), tau)
+    got, got_pivots = contour_module._marched_sweep(PointCloud(np.asfortranarray(z)), tau)
+    assert got_pivots == want_pivots
     assert_same_table(got, want)
+    assert_same_table(sweep(PointCloud(np.asfortranarray(z)), tau), want)
 
 
 def test_block_certification_error_parity(monkeypatch):
@@ -1014,14 +1019,14 @@ def test_probe_path_matches_former_solve_at(n, scale, tau, seed, monkeypatch):
     cloud = make_cloud(seed, n, scale=scale)
     want, want_pivots, want_log = reference_sweep(cloud, tau)
     got_log = []
-    # the sweep must call solve_qr through contour's module-level name,
+    # the march must call solve_qr through contour's module-level name,
     # where the benchmark tracer counts every probe
     monkeypatch.setattr(contour_module, "solve_qr", recording_solve(got_log))
     # one allowed CPU, so every probe runs in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    result = sweep(cloud, tau)
+    result, pivots = contour_module._marched_sweep(cloud, tau)
     assert got_log == want_log
-    assert result.n_pivots == want_pivots
+    assert pivots == want_pivots
     assert_same_table(result, want)
 
 
@@ -1082,15 +1087,14 @@ SPIKE30_BOTH[4] = (1.7e308, 1.7e308)
     ],
 )
 def test_extreme_scale_errors_are_unchanged(z, error, message):
-    # the errors the sweep raised while every probe was validated on its
-    # own; 2 * 1.7e308 overflows, so the spiked clouds take the checked path
+    # the errors the march raised while every probe was validated on its
+    # own, and the walk's from the same cold solve; 2 * 1.7e308 overflows,
+    # so the spiked clouds take the checked path
     cloud = PointCloud(z)
-    with pytest.raises(error) as info:
-        sweep(cloud, 0.2017)
-    assert type(info.value) is error and str(info.value) == message
-    with pytest.raises(error) as info:
-        reference_sweep(cloud, 0.2017)
-    assert type(info.value) is error and str(info.value) == message
+    for run in (contour_module._marched_sweep, reference_sweep, sweep):
+        with pytest.raises(error) as info:
+            run(cloud, 0.2017)
+        assert type(info.value) is error and str(info.value) == message
 
 
 # ------------------------------------------------------------ forked chunks
@@ -1098,11 +1102,14 @@ def test_extreme_scale_errors_are_unchanged(z, error, message):
 FORK_N = contour_module._FORK_MIN_POINTS
 
 
+marched = contour_module._marched_sweep
+
+
 def one_cpu_sweep(monkeypatch, cloud, tau):
     """The serial march's table: one allowed CPU."""
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0})
-        return sweep(cloud, tau)
+        return marched(cloud, tau)
 
 
 def allow_cpus(monkeypatch, cpus):
@@ -1110,8 +1117,9 @@ def allow_cpus(monkeypatch, cpus):
 
 
 def assert_same_sweep(got, want):
-    assert got.n_pivots == want.n_pivots
-    assert_same_table(got, want)
+    """Equal (table, pivots) pairs of the march."""
+    assert got[1] == want[1]
+    assert_same_table(got[0], want[0])
 
 
 @pytest.mark.parametrize(
@@ -1131,7 +1139,7 @@ def test_forked_sweep_matches_the_serial_march(monkeypatch, forks, cpus, n, tau,
     want = one_cpu_sweep(monkeypatch, cloud, tau)
     serial_calls = len(calls)
     allow_cpus(monkeypatch, cpus)
-    got = sweep(cloud, tau)
+    got = marched(cloud, tau)
     assert len(forks) == cpus - 1
     assert_reaped(forks)
     assert_same_sweep(got, want)
@@ -1144,14 +1152,15 @@ def test_forked_sweep_matches_the_serial_march(monkeypatch, forks, cpus, n, tau,
 def test_seams_on_arc_boundaries_give_the_serial_bytes(monkeypatch, forks, cpus, side):
     cloud = make_cloud(94, FORK_N)
     want = one_cpu_sweep(monkeypatch, cloud, 0.1785)
-    m = len(want.arcs)
+    arcs = want[0].arcs
+    m = len(arcs)
     # the start of a serial arc, or the end of the one before it
-    bounds = [float(want.arcs[m * c // cpus - side, side]) for c in range(1, cpus)]
+    bounds = [float(arcs[m * c // cpus - side, side]) for c in range(1, cpus)]
     seams = contour_module._seams
     monkeypatch.setattr(contour_module, "_seams",
                         lambda solve_at, z, tau, angles: seams(solve_at, z, tau, bounds))
     allow_cpus(monkeypatch, cpus)
-    assert_same_sweep(sweep(cloud, 0.1785), want)
+    assert_same_sweep(marched(cloud, 0.1785), want)
     assert len(forks) == cpus - 1
 
 
@@ -1161,11 +1170,11 @@ def test_a_seam_the_march_never_meets_gives_the_serial_bytes(monkeypatch, forks)
     # the seam's arc under the key of the arc at angle 0, about pi away: the
     # march never appends that record, so the first chunk marches the whole
     # circle, and the child's chunk, warm-started from that key, is dropped
-    far = (*want.fitted[0].tolist(), int(want.orientation[0]))
+    far = (*want[0].fitted[0].tolist(), int(want[0].orientation[0]))
     seams = contour_module._seams
     monkeypatch.setattr(contour_module, "_seams",
                         lambda *args: [(lo, hi, *far) for lo, hi, *_ in seams(*args)])
-    assert_same_sweep(sweep(cloud, 0.1785), want)
+    assert_same_sweep(marched(cloud, 0.1785), want)
     assert len(forks) == 1
 
 
@@ -1189,7 +1198,7 @@ def test_a_failing_chunk_gives_the_serial_error(monkeypatch, forks, lo):
     fail_between(monkeypatch, lo, lo + 0.5, "injected failure")
     allow_cpus(monkeypatch, 3)
     with pytest.raises(NoConvergence) as forked:
-        sweep(cloud, 0.1785)
+        marched(cloud, 0.1785)
     assert len(forks) == 2
     assert_reaped(forks)
     with pytest.raises(NoConvergence) as serial:
@@ -1201,7 +1210,7 @@ def test_a_failing_chunk_gives_the_serial_error(monkeypatch, forks, lo):
 
 def test_an_empty_arc_names_its_basis_and_angle(monkeypatch, forks, tmp_path):
     cloud = make_cloud(101, FORK_N)
-    want = one_cpu_sweep(monkeypatch, cloud, 0.1785)
+    want, _ = one_cpu_sweep(monkeypatch, cloud, 0.1785)
     # the arc through 3 pi / 2: in the second chunk on two CPUs, whose seam
     # lies near pi
     k = int(np.searchsorted(want.arcs[:, 0], 1.5 * np.pi)) - 1
@@ -1228,7 +1237,7 @@ def test_an_empty_arc_names_its_basis_and_angle(monkeypatch, forks, tmp_path):
 
     hits.unlink()
     with pytest.raises(ArcGap) as forked:
-        sweep(cloud, 0.1785)
+        marched(cloud, 0.1785)
     assert str(forked.value) == message
     # the child's chunk failed there, and this process marched it again
     assert len(forks) == 1
@@ -1254,7 +1263,7 @@ def test_a_failure_in_the_parent_chunk_kills_every_child(monkeypatch, forks):
     allow_cpus(monkeypatch, 3)
     start = time.perf_counter()
     with pytest.raises(NoConvergence, match="the parent's chunk failed"):
-        sweep(make_cloud(97, FORK_N), 0.1785)
+        marched(make_cloud(97, FORK_N), 0.1785)
     assert time.perf_counter() - start < 10
     assert len(forks) == 2
     assert_reaped(forks)
@@ -1272,11 +1281,13 @@ def test_a_chunk_with_no_process_is_marched_in_this_process(monkeypatch, call):
 
     monkeypatch.setattr(os, call, refuse)
     allow_cpus(monkeypatch, 2)
-    assert_same_sweep(sweep(cloud, 0.1785), want)
+    assert_same_sweep(marched(cloud, 0.1785), want)
 
 
 def test_the_sweep_stays_serial_below_the_minimum_n(forks):
-    sweep(make_cloud(98, FORK_N - 1), 0.1785)
+    marched(make_cloud(98, FORK_N - 1), 0.1785)
+    # the walk runs in this process at any n
+    sweep(make_cloud(98, FORK_N), 0.1785)
     assert forks == []
 
 
@@ -1286,11 +1297,11 @@ def test_the_sweep_stays_serial_while_another_thread_runs(forks):
     worker = threading.Thread(target=stop.wait)
     worker.start()
     try:
-        serial = sweep(cloud, 0.1785)
+        serial = marched(cloud, 0.1785)
     finally:
         stop.set()
         worker.join(timeout=10)
     assert not worker.is_alive()
     assert forks == []
-    assert_same_sweep(sweep(cloud, 0.1785), serial)
+    assert_same_sweep(marched(cloud, 0.1785), serial)
     assert len(forks) == 1

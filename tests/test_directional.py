@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantour import (
     DegenerateTau,
@@ -16,6 +18,7 @@ from quantour import (
     multiplier_scan,
     outlier_scenario,
 )
+from certify import quantile_failures
 from conftest import make_cloud
 
 RNG = np.random.default_rng
@@ -131,6 +134,23 @@ def test_relabeling_identity():
         assert abs(h2.a + h1.a) <= 1e-9
         assert abs(h2.multiplier - h1.multiplier) <= 1e-9
         assert set(h2.fitted) == set(h1.fitted)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 60), st.floats(0.0, 2.0 * np.pi), st.data())
+def test_every_quantile_passes_the_exact_verifier(seed, n, phi, data):
+    # in rational arithmetic: the pair is an optimal basis at u, the counts
+    # are exact and (a, b) is the line through the pair; a wrong pair and a
+    # wrong count fail
+    cloud = make_cloud(seed, n)
+    tau = (data.draw(st.integers(0, n // 2 - 1)) + 0.5) / n
+    h = directional_quantile(cloud, tau, Direction.from_angle(phi))
+    (i, j), (below, on, above) = h.fitted, h.counts
+    other = next(r % n for r in range(j + 1, j + n) if r % n != i)
+    for fitted, counts, ok in ((h.fitted, h.counts, True), ((i, other), h.counts, False),
+                               (h.fitted, (below + 1, on, above - 1), False)):
+        failures = quantile_failures(cloud.points, tau, h.u.vector, fitted, counts, h.a, h.b)
+        assert (failures == []) == ok, (fitted, counts, failures)
 
 
 def test_degenerate_tau_propagates():

@@ -30,7 +30,6 @@ from quantour import (
     regression_quantile,
     response_direction_grid,
     sweep,
-    tau_region,
 )
 from quantour import geometry as geometry_module
 from quantour.depth import _pair_halfplanes
@@ -413,7 +412,7 @@ def every_intersection(cloud, tau, models):
     regions = [km_envelope(cloud, tau, K) for K in (3, 31, 201, 2001)]
     regions.append(fixed_x_cut(models, np.array([0.5])))
     regions.append(depth_region_bruteforce_2d(cloud, tau))
-    regions.append(tau_region(cloud, tau))
+    regions.append(fixed_tau_region(sweep(cloud, tau)))
     return regions
 
 
