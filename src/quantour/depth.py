@@ -118,9 +118,12 @@ def _quantile_rows(z, m0: int, normals) -> np.ndarray:
 
     Projects in column blocks of at most ``_BLOCK_ELEMENTS`` that start on
     multiples of 64 columns, where BLAS tiles the whole product too, so at
-    one BLAS thread each product rounds as unblocked; an order statistic
-    is an element of its column.  Shared by the brute-force region's pair
-    normals and ``km_envelope``'s direction grid.
+    one BLAS thread each product rounds as unblocked.  Each block is then
+    copied to one row per normal: a row holds its column's sequence, so
+    selecting along contiguous memory returns the same element, in a third
+    less time at n = 1000, K = 2001 (``normals[lo:hi] @ z.T`` would round
+    some entries otherwise where m is 4 mod 8).  Shared by the brute-force
+    region's pair normals and ``km_envelope``'s direction grid.
     """
     n, m = z.shape[0], len(normals)
     blocks = -(-n * m // _BLOCK_ELEMENTS)
@@ -128,7 +131,9 @@ def _quantile_rows(z, m0: int, normals) -> np.ndarray:
     offsets = np.empty(m)
     for lo, hi in zip(cuts, cuts[1:]):
         proj = z @ normals[lo:hi].T
-        offsets[lo:hi] = np.partition(proj, m0 - 1, axis=0)[m0 - 1]
+        proj = proj.T.copy()  # in two steps, at most two blocks are alive at once
+        proj.partition(m0 - 1, axis=1)
+        offsets[lo:hi] = proj[:, m0 - 1]
     return offsets
 
 

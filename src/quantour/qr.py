@@ -143,22 +143,25 @@ class QrSolution:
         return int(np.count_nonzero(self.residuals >= self.ztol))
 
 
-def _lapack(gufunc, signature, message, *args):
-    """gufunc(*args) under np.linalg's error state, raising its LinAlgError."""
+def _lapack(gufunc, signature, message):
+    """gufunc(*args) under np.linalg's error state, raising its LinAlgError.
+
+    As a decorator, np.errstate sets the state per call (a thread-safe
+    token) without building an errstate object: about 1 us less a call.
+    """
     def fail(err, flag):
         raise np.linalg.LinAlgError(message)
-    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+
+    @np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    def call(*args):
         return gufunc(*args, signature=signature)
+    return call
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for float (p, p) a and (p,) b, without its checks."""
-    return _lapack(_umath_linalg.solve1, "dd->d", "Singular matrix", a, b)
-
-
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """np.linalg.svd(a, compute_uv=False) for a float (p, p) a, without its checks."""
-    return _lapack(_umath_linalg.svd, "d->d", "SVD did not converge", a)
+# np.linalg.solve(a, b) for float (p, p) a and (p,) b, without its checks
+_solve = _lapack(_umath_linalg.solve1, "dd->d", "Singular matrix")
+# np.linalg.svd(a, compute_uv=False) for a float (p, p) a, without its checks
+_singular_values = _lapack(_umath_linalg.svd, "d->d", "SVD did not converge")
 
 
 def _stable_prefixes(values: np.ndarray, k: int):
@@ -166,15 +169,18 @@ def _stable_prefixes(values: np.ndarray, k: int):
 
     Each yielded index array holds every index whose value is at most the
     k-th smallest, in stable ascending order.  That set is closed under
-    ties, so it is exactly a prefix of the full stable order, found by an
-    O(m) partial selection instead of an O(m log m) sort.  A caller that
-    reads past one prefix gets the next, four times as long; the last one
-    is the full order.
+    ties (every index outside it has a larger value), so for any k it is
+    exactly the head of the full stable order, and a ``cumsum`` over it has
+    the full one's bits; it costs an O(m) partial selection, not an
+    O(m log m) sort.  A caller that reads past one prefix gets the next,
+    four times as long; the last one is the full order.
     """
     m = values.shape[0]
     while k < m:
         cut = np.partition(values, k - 1)[k - 1]
-        sel = np.flatnonzero(values <= cut)
+        if cut != cut:  # NaN sorts last: fewer than k numbers, sort everything
+            break
+        sel = (values <= cut).nonzero()[0]
         yield sel[values[sel].argsort(kind="stable")]
         if sel.size == m:
             return
@@ -219,8 +225,8 @@ def _initial_basis(y: np.ndarray, X: np.ndarray, requested) -> np.ndarray:
     raise DegenerateDesign(f"design matrix is rank deficient (rank < {p})")
 
 
-# breakpoints the first line-search step sorts; the median pivot of the
-# regression cuts reads about 30 of some 2000, one in ten more than 500
+# breakpoints the first prefix sorts past the weight estimate, which the
+# turning rank exceeded by at most 4 on the regression cuts (seeds 3, 11)
 _LINE_SEARCH_PREFIX = 64
 
 
@@ -240,6 +246,24 @@ def _off_basis_gradient(X, psi, in_basis):
     return np.concatenate([X[r] for r in runs]).T @ np.concatenate([psi[r] for r in runs])
 
 
+def _eligible(r, s, in_basis, ztol):
+    """``np.where(r > -ztol, s > 0.0, s < 0.0) & ~in_basis``, without np.where.
+
+    Rows on or above the plane cross when the edge lowers them, rows below
+    it when it raises them.  s > 0 and s < 0 are never both true, so their
+    xor is "s nonzero, not NaN"; masked by r > -ztol and xor-ed with s < 0
+    again, it is s > 0 where r > -ztol and s < 0 elsewhere, NaN r included:
+    np.where's own comparisons, so the same mask on every float.
+    """
+    below = s < 0.0
+    eligible = s > 0.0
+    eligible ^= below
+    eligible &= r > -ztol
+    eligible ^= below
+    eligible &= ~in_basis
+    return eligible
+
+
 def _line_search(r, s, in_basis, ztol, slope0):
     """Weighted-median step along an edge.
 
@@ -250,29 +274,33 @@ def _line_search(r, s, in_basis, ztol, slope0):
     cross at t = 0, which makes degenerate pivots come out naturally.
 
     The walk visits breakpoints in (t, row) order and stops at the first
-    one where the running slope slope0 + |s_1| + ... turns non-negative.
-    It usually stops after a small share of them, so only a prefix is
-    sorted: ``_stable_prefixes`` picks every breakpoint with t at most the
-    k-th smallest by partial selection, a set closed under ties and hence
-    exactly the first entries of the full (t, row) order, and sorts those.
-    The running slope is a ``cumsum``, which adds in sequence, so every
-    partial sum is bit for bit the one a loop over the full order forms.
-    When the slope does not turn inside the prefix, k widens fourfold, and
-    finally to every breakpoint.
+    one where the running slope slope0 + |s_1| + ... turns non-negative,
+    so only a prefix of that order is sorted (``_stable_prefixes``).  The
+    running slope is a ``cumsum``, which adds in sequence, so every partial
+    sum, and the (t, row) found, is the same for any first prefix.  It
+    holds the weight the slope must gain, -slope0, in mean steps sum|s| / m,
+    plus ``_LINE_SEARCH_PREFIX``; if the slope does not turn inside, it
+    widens fourfold, finally to every breakpoint, which a NaN or infinite
+    estimate sorts at once.
     """
-    # rows on or above the plane that the edge lowers, rows below it that it raises
-    eligible = np.where(r > -ztol, s > 0.0, s < 0.0) & ~in_basis
-    rows = eligible.nonzero()[0]
-    if rows.size == 0:
+    rows = _eligible(r, s, in_basis, ztol).nonzero()[0]
+    m = rows.size
+    if m == 0:
         return None, None
-    s_rows = s[rows]
-    t = np.maximum(r[rows] / s_rows, 0.0)  # zero-residual rows cross immediately
-    for order in _stable_prefixes(t, _LINE_SEARCH_PREFIX):
-        steps = np.abs(s_rows[order])
-        steps[0] += slope0
-        turned = np.cumsum(steps) >= -1e-15
-        if turned.any():
-            i = order[turned.argmax()]
+    steps = s[rows]
+    t = r[rows]
+    t /= steps
+    np.maximum(t, 0.0, out=t)  # zero-residual rows cross immediately
+    steps = np.abs(steps, out=steps)
+    need = -float(slope0) * m / float(steps.sum())
+    k = int(need) + _LINE_SEARCH_PREFIX if 0.0 <= need < m else m
+    for order in _stable_prefixes(t, k):
+        slope = steps[order]
+        slope[0] += slope0
+        turned = np.cumsum(slope, out=slope) >= -1e-15
+        j = turned.argmax()
+        if turned[j]:
+            i = order[j]
             return float(t[i]), int(rows[i])
     return None, None
 
@@ -307,27 +335,30 @@ def solve_qr(problem: QrProblem, initial_basis=None) -> QrSolution:
     use_bland = False
     while True:
         beta, r, psi, v = _vertex(y, X, tau, B, in_basis, ztol)
-        # the optimality test below on Python floats; like it, never true on NaN
-        if not any(x - tau > DUAL_TOL or (tau - 1.0) - x > DUAL_TOL for x in v.tolist()):
+        # test and choose on Python floats: float64 rounding, no optimum on NaN
+        vl = v.tolist()
+        if not any(x - tau > DUAL_TOL or (tau - 1.0) - x > DUAL_TOL for x in vl):
             break
-        over = v - tau
-        under = (tau - 1.0) - v
-        amount = np.maximum(over, under)
-        violated = amount > DUAL_TOL
         if pivots >= max_pivots:
             raise NoConvergence(f"no optimum after {pivots} pivots")
+        over = [x - tau for x in vl]
+        under = [(tau - 1.0) - x for x in vl]
+        # over and under are NaN together, so max keeps NaN as np.maximum does
+        amount = [max(a, b) for a, b in zip(over, under)]
 
         if use_bland:
-            slots = np.nonzero(violated)[0]
-            pos = int(slots[np.argmin(B[slots])])
+            violated = [i for i, a in enumerate(amount) if a > DUAL_TOL]
+            pos = min(violated, key=B.tolist().__getitem__)
         else:
-            pos = int(np.argmax(amount))
+            # np.argmax's choice: the first NaN, else the first maximum
+            nans = [i for i, a in enumerate(amount) if a != a]
+            pos = nans[0] if nans else amount.index(max(amount))
         sigma = -1.0 if over[pos] > under[pos] else 1.0
         e = np.zeros(p)
         e[pos] = sigma
         delta = _solve(X[B], e)
         s = X @ delta
-        slope0 = (tau - v[pos]) if sigma < 0 else (v[pos] + 1.0 - tau)
+        slope0 = (tau - vl[pos]) if sigma < 0 else (vl[pos] + 1.0 - tau)
         t_star, enter = _line_search(r, s, in_basis, ztol, slope0)
         if enter is None:
             raise DegenerateDesign("objective unbounded along an edge (rank defect)")
@@ -377,13 +408,15 @@ def _vertex(y, X, tau, B, in_basis, ztol):
 
     beta fits y on X_B, r are the residuals (0 on B), psi their check-loss
     slopes, and v solves X_B' v = -X_N' psi_N for the fitted-row duals.
+    psi = tau - (r <= -ztol) forms tau - 1.0 or tau - 0.0 from the same
+    comparison, the values of ``np.where(r <= -ztol, tau - 1.0, tau)``.
     """
     XB = X[B]
     try:
         beta = _solve(XB, y[B])
         r = y - X @ beta
         r[B] = 0.0
-        psi = np.where(r <= -ztol, tau - 1.0, tau)
+        psi = tau - (r <= -ztol)
         v = _solve(XB.T, -_off_basis_gradient(X, psi, in_basis))
     except np.linalg.LinAlgError:
         raise DegenerateDesign("fitted rows became singular during exchange")

@@ -34,7 +34,7 @@ from .geometry import (
     intersect_halfplanes_2d,
     orthocomplement_basis,
 )
-from .qr import QrProblem, solve_qr, validate_tau
+from .qr import QrProblem, _off_basis_gradient, solve_qr, validate_tau
 
 # in-solve verification tolerances for the multiplier identity and the
 # stationarity reconstruction, shared by the location and regression fits
@@ -238,15 +238,16 @@ def _stationarity_solve(xa, Y, u_vec, fitted, psi):
     if m + 1 != k + p:
         raise SingularSystem(f"stationarity system is not square (m={m})")
     rows = list(fitted)
-    mask = np.ones(n, dtype=bool)
-    mask[rows] = False
+    in_basis = np.zeros(n, dtype=bool)
+    in_basis[rows] = True
     M = np.zeros((m + 1, m + 1))
     M[:p, 1:] = xa[rows].T
     M[p:, 0] = -u_vec
     M[p:, 1:] = Y[rows].T
-    psi_n = psi[mask]
-    head = [psi_n.sum()] if p == 1 else xa[mask].T @ psi_n
-    rhs = -np.concatenate([head, Y[mask].T @ psi_n])
+    # the products over the rows off the basis, on qr's row runs: the
+    # arrays that boolean gathers give, with the same bits, and cheaper
+    head = [psi[~in_basis].sum()] if p == 1 else _off_basis_gradient(xa, psi, in_basis)
+    rhs = -np.concatenate([head, _off_basis_gradient(Y, psi, in_basis)])
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:

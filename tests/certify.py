@@ -21,6 +21,11 @@ A planar directional quantile passes the same check, with s the sign of
 perp(z_j - z_i)'u, and its emitted a and b must lie within 1e-12
 relative of the exact line through its pair.
 
+A bounded region emitted as the intersection of the arcs' halfplanes
+must have every facet on an arc's line, every vertex on two facet lines
+and every facet through two vertices, and every vertex inside every arc
+halfplane, each within 1e-12 relative, in Fractions.
+
 Only numpy and the standard library are used; nothing is imported from
 quantour.
 """
@@ -138,4 +143,58 @@ def quantile_failures(points, tau, u, fitted, counts, a, b):
         failures.append("b is off the exact line through the pair")
     if abs(Fraction(float(a)) - bx * xi - by * yi) > rel * (abs(bx * xi) + abs(by * yi)):
         failures.append("a is off the exact line through the pair")
+    return failures
+
+
+def _off_line(b1, b2, a, x, y):
+    """b'(x, y) - a, and the sum of its terms' magnitudes, in Fractions."""
+    return b1 * x + b2 * y - a, abs(b1 * x) + abs(b2 * y) + abs(a)
+
+
+def region_failures(halfplanes, vertices, facets):
+    """[reason] for a bounded region that is not the arcs' intersection.
+
+    halfplanes (m, 3) are the arcs' rows (b_1, b_2, a) of {z : b'z >= a};
+    vertices (v, 2) and facets (f, 3), rows (b_1, b_2, a) with unit b, are
+    the region as emitted.  A facet must be a positive multiple lam of an
+    arc's row, lam = f_b'h_b / h_b'h_b: f_b within 1e-12 max|f_b| of lam
+    h_b per coordinate, and f_a within 1e-12 (|f_a| + |f_b|_1 max|v|) of
+    lam h_a.  A vertex is on a line when |b'v - a| is at most 1e-12 times
+    |b_1 v_1| + |b_2 v_2| + |a|, and inside a halfplane when b'v - a is at
+    least minus that.  An empty list certifies the region.
+    """
+    rel = Fraction(1e-12)
+    H = [tuple(map(Fraction, row)) for row in np.asarray(halfplanes, dtype=float).tolist()]
+    V = [tuple(map(Fraction, row)) for row in np.asarray(vertices, dtype=float).tolist()]
+    F = [tuple(map(Fraction, row)) for row in np.asarray(facets, dtype=float).tolist()]
+    failures = []
+    # arcs whose unit normal is within 1e-9 of a facet's are the candidates
+    # for the exact test
+    Hf = np.asarray(halfplanes, dtype=float)
+    unit = Hf[:, :2] / np.hypot(Hf[:, 0], Hf[:, 1])[:, None]
+    vmax = max((max(abs(x), abs(y)) for x, y in V), default=Fraction(0))
+    for k, ((f1, f2, fa), row) in enumerate(zip(F, np.asarray(facets, dtype=float))):
+        near = np.flatnonzero(np.abs(unit - row[:2]).max(axis=1) <= 1e-9).tolist()
+        fmax = max(abs(f1), abs(f2))
+        for c in near:
+            h1, h2, ha = H[c]
+            lam = (f1 * h1 + f2 * h2) / (h1 * h1 + h2 * h2)
+            if (lam > 0 and max(abs(f1 - lam * h1), abs(f2 - lam * h2)) <= rel * fmax
+                    and abs(fa - lam * ha) <= rel * (abs(fa) + (abs(f1) + abs(f2)) * vmax)):
+                break
+        else:
+            failures.append(f"facet {k} is no arc's line")
+    on = [[abs(d) <= rel * size for d, size in (_off_line(*f, x, y) for f in F)] for x, y in V]
+    for k, flags in enumerate(on):
+        if sum(flags) < 2:
+            failures.append(f"vertex {k} is on {sum(flags)} facet lines, not two")
+    for k in range(len(F)):
+        if sum(flags[k] for flags in on) < 2:
+            failures.append(f"facet {k} passes through fewer than two vertices")
+    for k, (x, y) in enumerate(V):
+        for c, h in enumerate(H):
+            d, size = _off_line(*h, x, y)
+            if d < -rel * size:
+                failures.append(f"vertex {k} is outside arc {c}'s halfplane")
+                break
     return failures

@@ -25,11 +25,17 @@ LIMITS = (4, 32, 10**9)
 
 
 def dense_collinear_triples(z, tol=1e-12, limit=32):
-    """Dense reference scan: one (n - i)^2 cross-product matrix per anchor i."""
+    """Dense reference scan: one (n - i)^2 cross-product matrix per anchor i.
+
+    It scans z / 2**e, whose max |z| is scale in [0.5, 1): that scaling is
+    exact wherever no coordinate leaves the normal range, and no cross
+    product of a tiny or huge cloud under- or overflows.
+    """
     m = len(z)
     found = []
+    scale, e = np.frexp(np.abs(z).max())
+    z, scale = np.ldexp(z, -e), float(scale)
     # scale-aware tolerance on twice the triangle area
-    scale = float(np.abs(z).max())
     area_tol = tol * scale * scale
     for ai in range(m - 2):
         a = z[ai]
@@ -168,9 +174,10 @@ def test_other_tolerances_match_dense():
     # squared lengths below the normal range: no window, every pair tested;
     # the anchor is the first of two rows 1e-160 apart
     assert_same_triples(np.vstack([[[1e-160, 2e-160], [3e-160, -1e-160]], z]), tol=0.0)
-    # a whole cloud that small is tested in its power-of-two frame, where
-    # no cross product underflows to 0 as the dense scan's do
-    assert dense_collinear_triples(2.0**-540 * z, tol=0.0)
+    # a whole cloud that small: both scans test it in its power-of-two
+    # frame, where no cross product underflows to 0
+    for tiny in (1e-160 * z, 2.0**-540 * z):
+        assert_same_triples(tiny, tol=0.0)
     tiny = PointCloud(2.0**-540 * z)
     assert tiny.collinear_triples(tol=0.0) == PointCloud(z).collinear_triples(tol=0.0)
 

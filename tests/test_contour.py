@@ -1,7 +1,11 @@
 """Fixed-tau directional sweep and the resulting contour regions."""
 
+import contextlib
 import hashlib
+import io
+import json
 import os
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -33,13 +37,14 @@ from quantour import (
     probability_contents,
     sweep,
 )
+from quantour import cli
 from quantour.contour import MIN_WIDTH, SweepResult, _perp
 from quantour.directional import QuantileHyperplane
 from quantour.errors import DegenerateDesign
 from quantour.geometry import Direction, orthocomplement_basis, vector_norm
 from quantour.qr import QrProblem, check_loss, solve_qr
 from quantour.regression import _design, _stationarity_solve
-from certify import arc_failures
+from certify import arc_failures, region_failures
 from conftest import SQRT3, assert_reaped, make_cloud
 
 RNG = np.random.default_rng
@@ -711,6 +716,56 @@ def test_the_exact_verifier_rejects_a_wrong_pair_the_next_arcs_u_and_a_wrong_cou
     assert len(failures(cloud, tau, result, fitted=fitted)) == m
     # each arc's count below off by one
     assert len(failures(cloud, tau, result, n_below=result.n_below + 1)) == m
+
+
+def km_exact_region(cloud, tau):
+    """The exact region as ``quantour km`` prints it: (vertices, facets)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cloud.csv")
+        rows = (f"{x!r},{y!r}" for x, y in cloud.points.tolist())
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("z1,z2\n" + "\n".join(rows) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["km", "-i", path, "--tau", repr(tau), "--K", "31"]) == 0
+    exact = json.loads(out.getvalue())["result"]["exact"]
+    assert exact["status"] == BOUNDED
+    return exact["vertices"], [[*h["b"], h["a"]] for h in exact["halfplanes"]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 60), st.data())
+def test_every_region_passes_the_exact_verifier(seed, n, data):
+    # fixed_tau_region(sweep()) and the exact region km prints are the
+    # intersection of the arcs' halfplanes, checked in rational arithmetic;
+    # depth ceil(n tau) <= n / 3 keeps the region bounded and nonempty
+    cloud = make_cloud(seed, n)
+    tau = (data.draw(st.integers(0, n // 3 - 1)) + 0.5) / n
+    result = sweep(cloud, tau)
+    region = fixed_tau_region(result)
+    assert region.status == BOUNDED
+    assert region_failures(result.halfplanes, region.vertices, region.halfplanes) == []
+    assert region_failures(result.halfplanes, *km_exact_region(cloud, tau)) == []
+
+
+def test_the_exact_verifier_rejects_a_moved_vertex_and_a_dropped_facet():
+    cloud, tau = make_cloud(94, 40), 0.178
+    result = sweep(cloud, tau)
+    region = fixed_tau_region(result)
+    H, V, F = result.halfplanes, region.vertices, region.halfplanes
+    assert region_failures(H, V, F) == []
+    for k in range(len(V)):
+        # a vertex moved along one of its facets, or off both
+        for step in ((1e-7, 0.0), (0.0, 1e-7), (-1e-6, 1e-6)):
+            moved = V.copy()
+            moved[k] += step
+            assert region_failures(H, moved, F), (k, step)
+    for k in range(len(F)):
+        assert region_failures(H, V, np.delete(F, k, axis=0)), k
+    # a facet that no arc's line carries
+    shifted = F.copy()
+    shifted[0, 2] -= 1e-9
+    assert "facet 0 is no arc's line" in region_failures(H, V, shifted)
 
 
 def reference_entering(p, i, j):

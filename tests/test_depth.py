@@ -181,6 +181,36 @@ def test_blocked_projections_match_one_block(monkeypatch):
         assert np.abs(blocked[:, 2] - want[:, 2]).max() <= ulp
 
 
+def former_quantile_rows(z, m0, normals):
+    """_quantile_rows as it was: column blocks of z @ normals.T, selected down each column."""
+    n, m = z.shape[0], len(normals)
+    blocks = -(-n * m // depth_module._BLOCK_ELEMENTS)
+    cuts = [m * i // blocks // 64 * 64 for i in range(blocks)] + [m]
+    offsets = np.empty(m)
+    for lo, hi in zip(cuts, cuts[1:]):
+        proj = z @ normals[lo:hi].T
+        offsets[lo:hi] = np.partition(proj, m0 - 1, axis=0)[m0 - 1]
+    return offsets
+
+
+@pytest.mark.parametrize("n, m", [(3, 5), (20, 1), (36, 1260), (57, 129), (150, 401), (1000, 2001)])
+def test_row_blocks_select_the_former_column_blocks(n, m, monkeypatch):
+    # each block's product, copied to one row per normal, selects the
+    # former offsets: in one block, across block edges and in one-column
+    # blocks; at m = 1260 the product normals @ z.T would round some
+    # entries differently
+    rng = RNG(60 + n)
+    z = rng.standard_normal((n, 2)) * rng.uniform(0.01, 100.0)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
+    normals = np.column_stack([np.cos(phi), np.sin(phi)])
+    for per_block in (m, 130, 64, 1):
+        monkeypatch.setattr(depth_module, "_BLOCK_ELEMENTS", per_block * n)
+        for m0 in sorted({1, (n + 1) // 3, n}):
+            want = former_quantile_rows(z, m0, normals)
+            got = depth_module._quantile_rows(z, m0, normals)
+            assert got.tobytes() == want.tobytes(), (per_block, m0)
+
+
 def test_envelope_memory_is_bounded():
     # km projects on its K-grid in the depth region's column blocks:
     # unblocked, n = 2000 and K = 4001 peaked at 133 MB (two n x K arrays)

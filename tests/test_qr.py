@@ -282,16 +282,19 @@ def assert_line_search_matches(r, s, in_basis, ztol, slope0):
 
 def test_stable_prefixes_are_heads_of_the_stable_order():
     rng = RNG(40)
-    values = rng.integers(0, 7, size=300).astype(float)
-    full = values.argsort(kind="stable")
-    for k in (1, 2, 5, 64, 299, 300, 1000):
-        prefixes = list(qr_module._stable_prefixes(values, k))
-        for order in prefixes:
-            assert order.size >= min(k, values.size)
-            assert np.array_equal(order, full[: order.size])
-        assert np.array_equal(prefixes[-1], full)
-        # each step widens fourfold until one covers every value
-        assert all(a.size < b.size for a, b in zip(prefixes, prefixes[1:]))
+    for nans in (0, 150, 298):
+        values = rng.integers(0, 7, size=300).astype(float)
+        # NaN sorts last; past the last number the next prefix is the full order
+        values[rng.choice(300, size=nans, replace=False)] = np.nan
+        full = values.argsort(kind="stable")
+        for k in (1, 2, 5, 64, 299, 300, 1000):
+            prefixes = list(qr_module._stable_prefixes(values, k))
+            for order in prefixes:
+                assert order.size >= min(k, values.size)
+                assert np.array_equal(order, full[: order.size])
+            assert np.array_equal(prefixes[-1], full)
+            # each step widens fourfold until one covers every value
+            assert all(a.size < b.size for a, b in zip(prefixes, prefixes[1:]))
 
 
 def test_line_search_matches_reference_on_seeded_inputs():
@@ -365,20 +368,133 @@ def test_line_search_turns_at_the_slope_tolerance():
     assert got == (0.5, 0)
 
 
+def salted(rng, n, ztol):
+    """Normal floats, half of them replaced by NaN, signed zeros, infinities,
+    subnormals and values at and beside +-ztol."""
+    tiny = np.finfo(float).smallest_subnormal
+    special = [np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 7 * tiny, -7 * tiny, 1e-310]
+    for edge in (ztol, -ztol):
+        special += [edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)]
+    x = rng.standard_normal(n)
+    pick = rng.random(n) < 0.5
+    x[pick] = rng.choice(special, size=int(pick.sum()))
+    return x, np.array(special)
+
+
+def test_eligible_rows_match_the_former_where_mask():
+    rng = RNG(58)
+    ztol = 1e-10
+    for trial in range(50):
+        n = int(rng.integers(1, 400))
+        (r, special), (s, _) = salted(rng, n, ztol), salted(rng, n, ztol)
+        in_basis = rng.random(n) < 0.1
+        want = np.where(r > -ztol, s > 0.0, s < 0.0) & ~in_basis
+        assert np.array_equal(qr_module._eligible(r, s, in_basis, ztol), want)
+    # every pair of special values, on and off the basis
+    r, s = (a.ravel() for a in np.meshgrid(special, special))
+    for in_basis in (np.zeros(r.size, dtype=bool), np.arange(r.size) % 2 == 0):
+        want = np.where(r > -ztol, s > 0.0, s < 0.0) & ~in_basis
+        assert np.array_equal(qr_module._eligible(r, s, in_basis, ztol), want)
+
+
+def test_vertex_weights_match_the_former_where_weights():
+    # y = 0 on the basis rows gives beta = 0, so the residuals off the
+    # basis are the salted responses themselves
+    rng = RNG(59)
+    ztol = 1e-10
+    for tau in (0.1, 0.2017, 0.5, 0.7, 0.9999):
+        y, special = salted(rng, 300, ztol)
+        y[:2] = 0.0
+        X = np.column_stack([np.ones(300), np.linspace(-1.0, 2.0, 300)])
+        B = np.array([0, 1])
+        in_basis = np.zeros(300, dtype=bool)
+        in_basis[B] = True
+        beta, r, psi, v = qr_module._vertex(y, X, tau, B, in_basis, ztol)
+        assert np.array_equal(r[2:], y[2:], equal_nan=True)
+        assert np.isnan(r).any() and np.isin(special[1:], r).all()  # special[0] is NaN
+        want = np.where(r <= -ztol, tau - 1.0, tau)
+        assert psi.dtype == want.dtype and psi.tobytes() == want.tobytes()
+
+
+def prefix_sizes(monkeypatch):
+    """Patch in a _stable_prefixes that records the size of each prefix read."""
+    sizes = []
+    real = qr_module._stable_prefixes
+
+    def spy(values, k):
+        for order in real(values, k):
+            sizes.append(order.size)
+            yield order
+
+    monkeypatch.setattr(qr_module, "_stable_prefixes", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("n, cross", [(1000, 100), (1000, 301), (1000, 999), (5000, 2000)])
-def test_line_search_widens_past_the_first_prefix(n, cross):
-    # unit slopes at distinct times: the walk turns at the cross-th breakpoint
+def test_line_search_widens_past_the_first_prefix(n, cross, monkeypatch):
+    # unit steps at t = 1..cross, where the walk turns, and steps of 1e6
+    # after: the weight estimate counts in mean steps of at least 250, so
+    # the first prefix ends well before the cross-th breakpoint
     rng = RNG(44)
-    r = rng.permutation(n).astype(float) + 1.0
-    s = np.ones(n)
+    t = rng.permutation(n).astype(float) + 1.0
+    s = np.where(t <= cross, 1.0, 1e6)
+    r = t * s
+    sizes = prefix_sizes(monkeypatch)
     got = assert_line_search_matches(r, s, np.zeros(n, dtype=bool), 1e-10, -(cross - 0.5))
-    assert got == (float(cross), int(np.flatnonzero(r == cross)[0]))
-    assert cross > qr_module._LINE_SEARCH_PREFIX
+    assert got == (float(cross), int(np.flatnonzero(t == cross)[0]))
+    assert sizes[0] < cross <= sizes[-1] and len(sizes) > 1
+
+
+def test_line_search_with_a_nonnegative_slope_takes_the_first_breakpoint():
+    rng = RNG(61)
+    r, s = rng.standard_normal(300), rng.standard_normal(300)
+    in_basis = np.zeros(300, dtype=bool)
+    t = np.maximum(r / s, 0.0)[qr_module._eligible(r, s, in_basis, 1e-10)]
+    for slope0 in (0.0, 1.0, np.inf):
+        got = assert_line_search_matches(r, s, in_basis, 1e-10, slope0)
+        assert got[0] == t.min()
+
+
+def test_line_search_without_a_finite_slope_finds_no_step(monkeypatch):
+    # a NaN or -inf starting slope never turns: every breakpoint is sorted
+    # at once, and the step is (None, None), which solve_qr reports as an
+    # unbounded edge
+    rng = RNG(56)
+    r, s = rng.standard_normal(300), rng.standard_normal(300)
+    in_basis = np.zeros(300, dtype=bool)
+    sizes = prefix_sizes(monkeypatch)
+    for slope0 in (np.nan, -np.inf, float("nan")):
+        del sizes[:]
+        assert assert_line_search_matches(r, s, in_basis, 1e-10, slope0) == (None, None)
+        assert len(sizes) == 1
+    monkeypatch.undo()
+    # a NaN dual beside one far outside the box: the pivot takes the NaN
+    # slot, as np.argmax does, and its edge has a NaN slope
+    y, X = regression_design(RNG(57), 200, 3)
+    problem = QrProblem(y, X, 0.3001)
+    real_vertex = qr_module._vertex
+
+    def vertex(*args):
+        beta, r, psi, v = real_vertex(*args)
+        return beta, r, psi, np.array([np.nan, 5.0, v[2]])
+
+    monkeypatch.setattr(qr_module, "_vertex", vertex)
+    with pytest.raises(DegenerateDesign, match="unbounded along an edge"):
+        solve_qr(problem)
 
 
 ZTOL = 0.25
 R_VALUES = [-3.0, -1.0, -ZTOL, -0.1, -0.0, 0.0, 0.1, ZTOL, 0.5, 1.0, 2.0, 3.5]
 S_VALUES = [-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 3.0]
+
+
+FIRST_PREFIXES = {
+    "one": lambda k, m: 1,
+    "two": lambda k, m: 2,
+    # the bare weight estimate, without the margin
+    "estimate": lambda k, m: max(1, k - qr_module._LINE_SEARCH_PREFIX) if k < m else m,
+    "all": lambda k, m: m,
+}
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,14 +505,19 @@ S_VALUES = [-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 3.0]
         max_size=40,
     ),
     st.floats(-30.0, 0.0),
-    st.integers(1, 8),
 )
-def test_line_search_matches_reference_hypothesis(rows, slope0, k):
+def test_line_search_matches_reference_hypothesis(rows, slope0):
     r, s, fitted = (np.array(col) for col in zip(*rows))
     in_basis = fitted.astype(bool) & (np.arange(r.size) % 3 == 0)
-    # a small first prefix makes the selection widen on short inputs
-    with mock.patch.object(qr_module, "_LINE_SEARCH_PREFIX", k):
-        assert_line_search_matches(r, s, in_basis, ZTOL, slope0)
+    want = assert_line_search_matches(r, s, in_basis, ZTOL, slope0)
+    # every first prefix gives the same step; short ones widen
+    real = qr_module._stable_prefixes
+    for first in FIRST_PREFIXES.values():
+        def forced(values, k):
+            return real(values, first(k, values.size))
+
+        with mock.patch.object(qr_module, "_stable_prefixes", forced):
+            assert qr_module._line_search(r, s, in_basis, ZTOL, slope0) == want
 
 
 def regression_design(rng, n, p):
@@ -437,17 +558,32 @@ def test_cold_start_matches_reference():
         )
 
 
-@pytest.mark.parametrize("n, p, seed", [(2000, 3, 50), (2000, 4, 51), (2000, 5, 52), (5000, 5, 53)])
+@pytest.mark.parametrize(
+    "n, p, seed",
+    # the last two are the shapes of the regression-cuts benchmark
+    [(2000, 3, 50), (2000, 4, 51), (2000, 5, 52), (5000, 5, 53), (5000, 3, 54), (2000, 5, 55)],
+)
 def test_prefix_selection_keeps_the_pivot_path(n, p, seed, monkeypatch):
     rng = RNG(seed)
     y, X = regression_design(rng, n, p)
-    for tau in (0.20005, 0.5003, 0.8001)[: 1 if n > 2000 else 3]:
-        fast, slow = solve_pair(QrProblem(y, X, tau), monkeypatch)
+    for tau in (0.20005, 0.5003, 0.8001)[: 1 if n > 2000 or seed > 53 else 3]:
+        problem = QrProblem(y, X, tau)
+        fast, slow = solve_pair(problem, monkeypatch)
         assert fast.fitted == slow.fitted
         assert fast.pivots == slow.pivots > 0
         for name in ("beta", "duals", "residuals", "psi"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
         assert fast.objective == slow.objective
+        if seed < 54:
+            continue
+        # the former exchange loop over the former steps, at the
+        # benchmark's level: every output byte
+        with monkeypatch.context() as m:
+            m.setattr(qr_module, "_line_search", reference_line_search)
+            m.setattr(qr_module, "_initial_basis", reference_initial_basis)
+            m.setattr(qr_module, "_off_basis_gradient", reference_off_basis_gradient)
+            want = outcome(reference_solve_qr, problem)
+        assert outcome(solve_qr, problem) == want and isinstance(want, dict)
 
 
 # ------------------------------------------ the former solve_qr, verbatim
