@@ -242,7 +242,10 @@ class _SvgCanvas:
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
-        span = np.maximum(hi - lo, 1e-6)
+        # an axis the points do not spread along gets a millionth of the
+        # other's span, so the window scales with the points
+        span = hi - lo
+        span = np.maximum(span, 1e-6 * (span.max() or np.abs(pts).max() or 1.0))
         self.lo, self.hi = lo - 0.1 * span, hi + 0.1 * span
         span = self.hi - self.lo
         self.scale = min(self.w / span[0], self.h / span[1])
@@ -292,22 +295,28 @@ class _SvgCanvas:
 
 
 def _clip_line(b, a, lo, hi):
-    """Endpoints of {b'z = a} inside the [lo, hi] box, or None."""
+    """Endpoints of {b'z = a} inside the [lo, hi] box, or None.
+
+    Every slack is relative to the box, so a scaled cloud gives the same
+    endpoints, scaled.
+    """
+    span = hi - lo
     pts = []
     for axis in (0, 1):
         other = 1 - axis
-        if abs(b[other]) < 1e-300:
+        # a line parallel to this axis's sides, in the box's units
+        if abs(b[other]) * span[other] <= 1e-300 * abs(b[axis]) * span[axis]:
             continue
         for bound in (lo[axis], hi[axis]):
             t = (a - b[axis] * bound) / b[other]
-            if lo[other] - 1e-9 <= t <= hi[other] + 1e-9:
+            if lo[other] - 1e-9 * span[other] <= t <= hi[other] + 1e-9 * span[other]:
                 p = np.empty(2)
                 p[axis] = bound
                 p[other] = t
                 pts.append(p)
     uniq = []
     for p in pts:
-        if not any(np.allclose(p, q, atol=1e-12) for q in uniq):
+        if not any(np.allclose(p, q, atol=1e-12 * span.max()) for q in uniq):
             uniq.append(p)
     if len(uniq) < 2:
         return None

@@ -19,7 +19,7 @@ the cold solve's certificate raises DegenerateDesign when a row off the
 basis lies on the fitted line, which the sweep re-raises as
 DegenerateData with the same ``indices``; past phi = 0, the two points
 the turning line would meet first must not lie on one line with the
-turning point.
+turning point, and every point's turn must be a finite number.
 
 ``_marched_sweep`` is the former route to the same records: it marches
 arc to arc with warm-started pivots (``_march_arcs``), from
@@ -249,14 +249,12 @@ def sweep(cloud: PointCloud, tau: float) -> SweepResult:
     DegenerateData, with three rows, where its turning line would meet two
     points at once.
 
-    Each step picks the entering point by a division key, the cotangent of
-    the turn, where an arctan2 and a partition were used before; the key
-    is read off the same product, and where it cannot tell the turns apart
-    as the partition does (a zero or non-finite cross product, turns within
-    rounding of a tie) the step orders by the turn itself
-    (``_entering``).  The arc formula runs on Python floats wherever numpy
-    would perform the same IEEE operations.  So every decision, record,
-    exception and output bit is the one the former per-step formulas gave.
+    Each step picks the entering point by one rule (``_entering``): the
+    largest cotangent of the turn, one division per row, with an exact tie
+    going to the lowest row index; a turn that is not a finite number
+    raises DegenerateData with its rows.  The arc formula runs on Python
+    floats wherever numpy would perform the same IEEE operations, so every
+    record and output bit is the one the array formulas give.
     """
     tau = _sweep_tau(cloud, tau)
     return SweepResult(tau, *_finalize(cloud.points, tau, _walk_arcs(cloud, tau)))
@@ -333,12 +331,13 @@ def _walk_arcs(cloud: PointCloud, tau: float):
     the point that stays in the basis: the dual bound that sets the arc's
     end names the point that leaves, and the point that enters is the
     first one the line meets as it turns counterclockwise from the leaving
-    point (``_entering``).  The next arc must start where the last one
+    point: the largest cotangent of the turn, the lowest row of an exact
+    tie (``_entering``).  The next arc must start where the last one
     ends, within TILE_TOL, and the walk closes the circle within n (n - 1)
     arcs, one per basis; otherwise it raises ArcGap.  No solve is made past
     the first.
 
-    The runner-up candidate breaks a tie: when it is collinear with the
+    The runner-up candidate detects a tie: when it is collinear with the
     staying and the entering point, by ``collinear_triples``' test
     |d_1 x d_2| <= GENERAL_POSITION_TOL max|z|^2, the walk raises
     DegenerateData with the three rows.
@@ -369,9 +368,9 @@ def _walk_arcs(cloud: PointCloud, tau: float):
         (x0, y0), (xl, yl) = zl[stay], zl[leave]
         # d = z - z_stay, and d * conj(d[leave])
         d = zc - complex(x0, y0)
-        l1, l2 = _entering(d * complex(xl - x0, -(yl - y0)), i, j)
+        l1, l2 = _entering(d * complex(xl - x0, -(yl - y0)), i, j, hi)
         x1, y1 = zl[l1]
-        if n > 3:  # else l2 is i or j
+        if n > 3:  # else there is no runner-up
             x2, y2 = zl[l2]
             # d[l1] x d[l2]
             if abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) <= area_tol:
@@ -396,65 +395,44 @@ def _walk_arcs(cloud: PointCloud, tau: float):
     return records
 
 
-# ranks the pair's own rows below every candidate of a regular step
+# ranks the pair's own rows below every candidate
 _LAST = -np.finfo(np.float64).max
-# least gap between the first three turns, in radians, for which the turns'
-# order is read off their cotangents: far above the rounding of atan2 and
-# of the fold, a few ulp of pi (about 1e-15)
-_TURN_SLACK = 1e-13
 
 
-def _entering(p, i, j):
+def _entering(p, i, j, angle):
     """The first and second row that the walk's turning line meets.
 
     p holds (z_l - z_stay) conj(z_leave - z_stay) for every row l, and (i, j)
     is the pair.  The line turns counterclockwise about z_stay from z_leave
-    and meets row l after the turn arg(p_l) mod pi: atan2(Im, Re), folded
-    into [0, pi] by adding pi to a negative angle, and the first two rows
-    are the partition's two least turns.  The turn's cotangent Re/Im
-    decreases on (0, pi), so a step takes them as the two largest Re/Im
-    instead: one division and a few reductions, against an arctan2, a
-    fold and a partition.
+    and meets row l after the turn arg(p_l) mod pi, whose cotangent Re/Im
+    decreases on (0, pi), so the first two rows are the two largest keys
+    Re/Im.  argmax returns the first of equal keys, so an exact tie goes
+    to the lowest row index, as ``solve_qr``'s ties in entering rows do.
 
-    Both orders are read off the same bits of p, so they can part ways only
-    where Re/Im is not a finite number, or between turns that rounding can
-    reorder or tie; there the step orders by the turn itself, with its ties
-    broken as the partition breaks them.  That is:
-
-    - Im = +0 or -0 (a row on the pair's line), Re = Im = 0 (a duplicate of
-      the staying point), or an infinite or NaN product: atan2 gives the
-      turn 0 or pi by the signs of the zeros, where Re/Im is an infinity or
-      NaN (and a division can overflow).  So every candidate's Re/Im must be
-      finite, and the first above _LAST: argmax returns a NaN first, and
-      one argmin finds a -inf.
-    - The first three turns must lie more than _TURN_SLACK apart, so that
-      the partition's two least are the same rows in the same order.
-
-    The division's warnings are silenced here, where they are expected.
+    Every candidate's key must be a finite number above _LAST.  One that
+    is not has no turn to order: Im = 0 (a row on the pair's line, or a
+    duplicate of the staying point), an infinite or NaN product, or a
+    quotient that overflows.  Then the walk raises DegenerateData at its
+    angle, naming the pair and those rows.  The division's warnings are
+    silenced here, where they are expected.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cot = p.real / p.imag
+    cot[i] = cot[j] = math.inf
+    # the least candidate key, or the first NaN; argmin and an index run
+    # without min()'s wrapper
+    above = cot[cot.argmin()] > _LAST
     cot[i] = cot[j] = _LAST
-    # argmax and argmin, then an index: the reductions without max()'s wrapper
     l1 = int(cot.argmax())
-    c1 = float(cot[l1])
+    if not (above and cot[l1] < math.inf):
+        cot[i] = cot[j] = 0.0
+        bad = np.flatnonzero(~((cot > _LAST) & (cot < math.inf))).tolist()
+        raise DegenerateData(
+            f"the sweep's turn from pair ({i}, {j}) is not a finite number at angle {angle:.9f}",
+            indices=sorted({i, j, *bad}),
+        )
     cot[l1] = _LAST
-    l2 = int(cot.argmax())
-    c2 = float(cot[l2])
-    cot[l2] = _LAST
-    if _LAST < c1 < math.inf and cot[cot.argmin()] > -math.inf:
-        if p.size == 3:  # one candidate: l2 is i or j
-            return l1, l2
-        # math.atan2(1, c) is the turn whose cotangent is c
-        t2 = math.atan2(1.0, c2)
-        if (t2 - math.atan2(1.0, c1) > _TURN_SLACK
-                and math.atan2(1.0, float(cot[cot.argmax()])) - t2 > _TURN_SLACK):
-            return l1, l2
-    turn = np.angle(p)
-    turn += np.pi * (turn < 0.0)
-    turn[i] = turn[j] = np.inf
-    l1, l2 = np.argpartition(turn, 1)[:2].tolist()
-    return l1, l2
+    return l1, int(cot.argmax())
 
 
 def _march_arcs(cloud: PointCloud, tau: float):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DimensionMismatch
-from .geometry import ConvexRegion2D, intersect_halfplanes_2d
+from .geometry import ConvexRegion2D, _column_blocks, intersect_halfplanes_2d
 from .qr import validate_tau
 
 # residual tolerance: boundary ties count as inside the closed halfplane
@@ -116,24 +116,20 @@ def _pair_halfplanes(cloud: PointCloud, tau: float) -> np.ndarray:
 def _quantile_rows(z, m0: int, normals) -> np.ndarray:
     """The m0-th smallest projection u'z_i for each row u of ``normals``.
 
-    Projects in column blocks of at most ``_BLOCK_ELEMENTS`` that start on
-    multiples of 64 columns, where BLAS tiles the whole product too, so at
-    one BLAS thread each product rounds as unblocked.  Each block is then
-    copied to one row per normal: a row holds its column's sequence, so
+    Projects in ``geometry._column_blocks`` of about ``_BLOCK_ELEMENTS``,
+    so at one BLAS thread each product rounds as unblocked.  Each block is
+    then copied to one row per normal: a row holds its column's sequence, so
     selecting along contiguous memory returns the same element, in a third
     less time at n = 1000, K = 2001 (``normals[lo:hi] @ z.T`` would round
     some entries otherwise where m is 4 mod 8).  Shared by the brute-force
     region's pair normals and ``km_envelope``'s direction grid.
     """
-    n, m = z.shape[0], len(normals)
-    blocks = -(-n * m // _BLOCK_ELEMENTS)
-    cuts = [m * i // blocks // 64 * 64 for i in range(blocks)] + [m]
-    offsets = np.empty(m)
-    for lo, hi in zip(cuts, cuts[1:]):
-        proj = z @ normals[lo:hi].T
+    offsets = np.empty(len(normals))
+    for cols in _column_blocks(z.shape[0], len(normals), _BLOCK_ELEMENTS):
+        proj = z @ normals[cols].T
         proj = proj.T.copy()  # in two steps, at most two blocks are alive at once
         proj.partition(m0 - 1, axis=1)
-        offsets[lo:hi] = proj[:, m0 - 1]
+        offsets[cols] = proj[:, m0 - 1]
     return offsets
 
 

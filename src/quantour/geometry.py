@@ -469,17 +469,25 @@ def _bounded_clip(B, A, box_half, method):
     raise SingularSystem("halfplane clipping failed to terminate")
 
 
-def _residual_blocks(V, B, A):
-    """Yield (columns, V @ B[columns].T - A[columns]) over blocks of halfplanes.
+def _column_blocks(rows, cols, elements):
+    """Slices over the columns of a rows x cols product, about elements per block.
 
-    The blocks start on multiples of 64 columns, where BLAS tiles the
-    whole product too, so at one BLAS thread each residual has the bits
-    of the unblocked product.
+    The cuts fall on multiples of 64 columns, where BLAS tiles the whole
+    product too, so at one BLAS thread each entry of a block has the bits
+    of the unblocked product.  A block of one column would take numpy's
+    matrix-vector path, which rounds otherwise, so a last block of one
+    column joins the block before it; no block is empty.
     """
-    m = len(A)
-    step = max(64, _POLISH_BLOCK_ELEMENTS // V.shape[0] // 64 * 64)
-    for lo in range(0, m, step):
-        cols = slice(lo, min(lo + step, m))
+    step = max(64, elements // rows // 64 * 64)
+    cuts = [*range(0, cols, step), cols]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _residual_blocks(V, B, A):
+    """Yield (columns, V @ B[columns].T - A[columns]) over ``_column_blocks`` of halfplanes."""
+    for cols in _column_blocks(V.shape[0], len(A), _POLISH_BLOCK_ELEMENTS):
         res = V @ B[cols].T
         res -= A[cols]
         yield cols, res

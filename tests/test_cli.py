@@ -928,6 +928,27 @@ def test_svg_of_each_subcommand_is_stable_xml(tmp_path, argv, shapes):
         assert len(root.findall(f".//{ns}{shape}")) == count
 
 
+@pytest.mark.parametrize(
+    "argv, e",
+    [(["quantile", "--tau", "0.3", "--u", "0,1"], -24), (["depth", "--x", "{x}"], -30)],
+    ids=["quantile", "depth"],
+)
+def test_svg_drawings_do_not_depend_on_the_scale(tmp_path, argv, e):
+    # the window, its span floor and the line clip's slacks scale with the
+    # cloud, so a power-of-two scale gives the unit hexagon's bytes
+    z = np.loadtxt(HEX, delimiter=",", skiprows=1)
+    x = np.array([0.25, -0.125])
+    outs = []
+    for scale in (1.0, 2.0**e):
+        path = write(tmp_path, f"h{scale!r}.csv",
+                     "x,y\n" + "".join(f"{u!r},{v!r}\n" for u, v in (scale * z).tolist()))
+        out = tmp_path / f"h{scale!r}.svg"
+        flags = [arg.format(x=",".join(map(repr, (scale * x).tolist()))) for arg in argv]
+        assert main([flags[0], "-i", path, *flags[1:], "--format", "svg", "-o", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_csv_format(capsys):
     code = main(["contour", "-i", HEX, "--tau", "0.25", "--format", "csv"])
     assert code == 0

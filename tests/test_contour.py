@@ -10,6 +10,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -31,6 +32,7 @@ from quantour import (
     QuantourError,
     SingularSystem,
     depth_region_bruteforce_2d,
+    directional_quantile,
     fixed_tau_region,
     hausdorff_distance,
     km_envelope,
@@ -307,15 +309,39 @@ def assert_same_arcs_shifted(got, want, shift):
         assert abs(gwidth - width) <= 1e-12, key
 
 
+def vertex_gap(got, want):
+    """Largest distance from a vertex of either list to the nearest of the other.
+
+    Equal as point sets: where three facets meet at a data point, the
+    intersection may keep that vertex more times in one frame.
+    """
+    gap = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+    return max(gap.min(axis=0).max(), gap.min(axis=1).max())
+
+
 @settings(max_examples=15, deadline=None)
 @given(no_three_in_line(), st.data())
 def test_relabelled_rows_relabel_the_arc_keys(case, data):
+    # a row relabelling maps the arc keys (the orientation flips where the
+    # pair's order does), keeps the region and maps the quantile fit: the
+    # lowest-row rule for ties never acts on a cloud in general position
     z, tau = case
     perm = data.draw(st.permutations(range(len(z))))
-    want = arcs_by_key(sweep(PointCloud(z), tau))
+    base = sweep(PointCloud(z), tau)
     # row k of the relabelled cloud is row perm[k] of z
-    got = arcs_by_key(sweep(PointCloud(z[perm]), tau), relabel=perm)
-    assert_same_arcs_shifted(got, want, 0.0)
+    relabelled = sweep(PointCloud(z[perm]), tau)
+    assert_same_arcs_shifted(arcs_by_key(relabelled, relabel=perm), arcs_by_key(base), 0.0)
+    region, got_region = fixed_tau_region(base), fixed_tau_region(relabelled)
+    assert got_region.status == region.status
+    if region.status == BOUNDED:
+        assert vertex_gap(got_region.vertices, region.vertices) <= 1e-12 * np.abs(region.vertices).max()
+    # an arc's midpoint direction has one optimal pair
+    u = base.u[data.draw(st.integers(0, len(base.u) - 1))]
+    want = directional_quantile(PointCloud(z), tau, u)
+    got = directional_quantile(PointCloud(z[perm]), tau, u)
+    assert sorted(perm[k] for k in got.fitted) == sorted(want.fitted)
+    assert abs(got.a - want.a) <= 1e-12 * np.abs(z).max()
+    assert np.abs(got.b - want.b).max() <= 1e-12 * np.abs(want.b).max()
 
 
 @settings(max_examples=15, deadline=None)
@@ -333,10 +359,7 @@ def test_a_quarter_turn_shifts_every_arc(case, turns):
         want = region.vertices
         for _ in range(turns):
             want = np.column_stack([-want[:, 1], want[:, 0]])
-        # equal as point sets: where three facets meet at a data point, the
-        # intersection may keep that vertex more times on one side
-        gap = np.abs(turned_region.vertices[:, None, :] - want[None, :, :]).max(axis=2)
-        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * np.abs(want).max()
+        assert vertex_gap(turned_region.vertices, want) <= 1e-12 * np.abs(want).max()
 
 
 @st.composite
@@ -802,21 +825,40 @@ def edge_products(rng, n):
 
 
 def test_entering_picks_the_former_rows():
-    # the division key against the former atan2 partition, on every input
-    # where the two can part ways: zero cross products of either sign, a
-    # duplicate of the staying point, exact and near ties, overflow, NaN
+    # the cotangent key against the former atan2 partition wherever every
+    # candidate key is finite and no two of the first three turns tie; an
+    # exact tie goes to the lowest rows, and a key that is not a finite
+    # number above the pair's rank raises, naming the pair and those rows
     rng = RNG(92)
-    edge_inputs = 0
+    seen = Counter()
     for trial in range(3000):
         n = int(rng.integers(3, 12)) if trial % 2 else int(rng.integers(12, 200))
         p = edge_products(rng, n)
         i, j = (0, 1) if trial % 3 else (1, 0)
-        want = reference_entering(p.copy(), i, j)
-        got = contour_module._entering(p.copy(), i, j)
-        # with one candidate the runner-up is i or j, and the walk ignores it
-        assert got[: 1 if n == 3 else 2] == want[: 1 if n == 3 else 2], (trial, p)
-        edge_inputs += not np.isfinite(p[2:]).all() or (p[2:].imag == 0).any()
-    assert edge_inputs > 500
+        rows = [row for row in range(n) if row not in (i, j)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            key = (p.real / p.imag).tolist()
+        bad = [row for row in rows if not -np.finfo(float).max < key[row] < np.inf]
+        if bad:
+            with pytest.raises(DegenerateData, match="at angle 1.250000000") as info:
+                contour_module._entering(p.copy(), i, j, 1.25)
+            assert info.value.indices == tuple(sorted({i, j, *bad})), (trial, p)
+            seen["not finite"] += 1
+            continue
+        got = contour_module._entering(p.copy(), i, j, 1.25)
+        # with one candidate there is no runner-up, and the walk reads none
+        k = 1 if n == 3 else 2
+        ranked = sorted(rows, key=lambda row: (-key[row], row))
+        assert list(got[:k]) == ranked[:k], (trial, p)
+        turn = np.angle(p)
+        turn += np.pi * (turn < 0.0)
+        first = sorted(rows, key=lambda row: turn[row])[:3]
+        if len({key[row] for row in first}) < len(first) or len(set(turn[first])) < len(first):
+            seen["tie"] += 1
+        else:
+            assert got[:k] == reference_entering(p.copy(), i, j)[:k], (trial, p)
+            seen["regular"] += 1
+    assert seen["not finite"] > 500 and seen["tie"] > 20 and seen["regular"] > 1000, seen
 
 
 def tied_clouds():
@@ -840,17 +882,45 @@ def walk_outcome(z, tau):
         return type(exc), str(exc), getattr(exc, "indices", None)
 
 
+def exact_cross(z, a, b, c):
+    """(z_b - z_a) x (z_c - z_a) in Fractions: every float is a dyadic rational."""
+    (xa, ya), (xb, yb), (xc, yc) = ([Fraction(v) for v in z[row]] for row in (a, b, c))
+    return (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+
+
+def is_lowest_tie(z, named):
+    """named is a turning point and the two lowest other rows on one line with it."""
+    # two of the rows are distinct points: a duplicate of the turning point
+    # has no finite turn, and raises otherwise
+    a, b = next((a, b) for a in named for b in named if z[a].tolist() != z[b].tolist())
+    line = [row for row in range(len(z)) if exact_cross(z, a, b, row) == 0]
+    return any(sorted(set(named) - {stay}) == [row for row in line if row != stay][:2]
+               for stay in named)
+
+
 def test_the_walk_keeps_its_rows_at_exact_ties(monkeypatch):
     # lattice clouds and duplicated rows put exact ties among the first
-    # turns: the walk gives the records, or the error and rows, that it
-    # gives with the former entering rule
+    # turns: the walk gives the records it gives with the former entering
+    # rule, and where that rule raised, the same error at the same angle;
+    # each triple the walk names is exactly collinear, the turning point
+    # and the two lowest rows on its line
     clouds = tied_clouds()
     got = [walk_outcome(z, tau) for z, tau in clouds]
-    monkeypatch.setattr(contour_module, "_entering", reference_entering)
+    monkeypatch.setattr(contour_module, "_entering",
+                        lambda p, i, j, angle: reference_entering(p, i, j))
     want = [walk_outcome(z, tau) for z, tau in clouds]
-    assert got == want
+    moved = 0
+    for (z, _), mine, former in zip(clouds, got, want):
+        if mine != former:
+            # the former partition named other rows of the same tie
+            assert mine[0] is former[0] is DegenerateData, (mine, former)
+            assert mine[1].split(" (rows")[0] == former[1].split(" (rows")[0]
+            moved += 1
+        if isinstance(mine, tuple) and "meets two points at once" in mine[1]:
+            assert exact_cross(z, *mine[2]) == 0 and is_lowest_tie(z, mine[2]), mine
     named = [out for out in got if isinstance(out, tuple) and out[0] is DegenerateData]
     assert len(named) > 20 and any(isinstance(out, list) for out in got)
+    assert 0 < moved < len(named)
 
 
 def test_block_certification_matches_on_hexagon_and_small_blocks(hexagon, monkeypatch):

@@ -17,6 +17,7 @@ from quantour import (
     km_envelope,
 )
 from quantour import depth as depth_module
+from quantour import geometry as geometry_module
 from quantour import km as km_module
 from conftest import SQRT3, make_cloud
 
@@ -193,12 +194,18 @@ def former_quantile_rows(z, m0, normals):
     return offsets
 
 
+def unblocked_quantile_rows(z, m0, normals):
+    """The m0-th smallest projection of each normal, from one whole product."""
+    return np.partition(z @ normals.T, m0 - 1, axis=0)[m0 - 1]
+
+
 @pytest.mark.parametrize("n, m", [(3, 5), (20, 1), (36, 1260), (57, 129), (150, 401), (1000, 2001)])
 def test_row_blocks_select_the_former_column_blocks(n, m, monkeypatch):
     # each block's product, copied to one row per normal, selects the
-    # former offsets: in one block, across block edges and in one-column
-    # blocks; at m = 1260 the product normals @ z.T would round some
-    # entries differently
+    # former offsets: in one block and across block edges; at m = 1260 the
+    # product normals @ z.T would round some entries differently.  At one
+    # normal per block the former cuts end (57, 129) in a one-column block,
+    # which rounds otherwise, so there the unblocked product is expected
     rng = RNG(60 + n)
     z = rng.standard_normal((n, 2)) * rng.uniform(0.01, 100.0)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
@@ -206,9 +213,34 @@ def test_row_blocks_select_the_former_column_blocks(n, m, monkeypatch):
     for per_block in (m, 130, 64, 1):
         monkeypatch.setattr(depth_module, "_BLOCK_ELEMENTS", per_block * n)
         for m0 in sorted({1, (n + 1) // 3, n}):
-            want = former_quantile_rows(z, m0, normals)
+            tail = (n, m, per_block) == (57, 129, 1)
+            want = (unblocked_quantile_rows if tail else former_quantile_rows)(z, m0, normals)
             got = depth_module._quantile_rows(z, m0, normals)
             assert got.tobytes() == want.tobytes(), (per_block, m0)
+
+
+@pytest.mark.parametrize("n", [3, 20, 57, 400])
+def test_a_one_column_tail_joins_the_block_before_it(n, monkeypatch):
+    # blocks of 64 columns over 65 or 129 columns would end in one column,
+    # whose matrix-vector product rounds otherwise than the whole product
+    rng = RNG(70 + n)
+    z = rng.standard_normal((n, 2)) * rng.uniform(0.01, 100.0)
+    monkeypatch.setattr(depth_module, "_BLOCK_ELEMENTS", n)
+    monkeypatch.setattr(geometry_module, "_POLISH_BLOCK_ELEMENTS", 64)
+    for m in (65, 129):
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
+        normals = np.column_stack([np.cos(phi), np.sin(phi)])
+        for m0 in sorted({1, (n + 1) // 3, n}):
+            want = unblocked_quantile_rows(z, m0, normals)
+            got = depth_module._quantile_rows(z, m0, normals)
+            assert got.tobytes() == want.tobytes(), (m, m0)
+        A = rng.standard_normal(m)
+        res = np.empty((n, m))
+        for cols, block in geometry_module._residual_blocks(z, normals, A):
+            res[:, cols] = block
+        assert res.tobytes() == (z @ normals.T - A).tobytes(), m
+    assert [(c.start, c.stop) for c in geometry_module._column_blocks(5, 129, 320)] == [(0, 64), (64, 129)]
+    assert geometry_module._column_blocks(5, 0, 320) == []
 
 
 def test_envelope_memory_is_bounded():
